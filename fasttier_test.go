@@ -1,6 +1,7 @@
 // Golden and property tests for the analytical fast tier (PR 6).
 //
 //	TestFastTierGoldenLFK          pins predicted CPL + attribution vs sim
+//	TestScheduleIdentityPerProgram signature/class stamped once per program
 //	TestBoundsMonotonicLFK         t_MA <= t_MAC <= t_MACS <= measured CPL
 //	TestBoundsMonotonicRandom      same hierarchy over random stride/VL kernels
 package macs_test
@@ -15,7 +16,9 @@ import (
 	"testing"
 
 	"macs"
+	"macs/internal/calib"
 	"macs/internal/compiler"
+	"macs/internal/fasttier"
 	"macs/internal/lfk"
 	"macs/internal/vm"
 )
@@ -100,6 +103,39 @@ func TestFastTierGoldenLFK(t *testing.T) {
 		}
 		if err := p.Attr.Conserved(p.Cycles); err != nil {
 			t.Errorf("lfk%d: %v", k.ID, err)
+		}
+	}
+}
+
+// TestScheduleIdentityPerProgram: a program's signature and class are
+// computed once and stamped on every later prediction, so they must
+// equal a fresh computation — for each chime rule set the program is
+// predicted under, since the class depends on the rules.
+func TestScheduleIdentityPerProgram(t *testing.T) {
+	noChain := macs.DefaultVMConfig()
+	noChain.Rules.Chaining = false
+	cfgs := []macs.VMConfig{macs.DefaultVMConfig(), noChain}
+	for _, k := range lfk.All() {
+		prog, err := compiler.Compile(k.Source, compiler.DefaultOptions())
+		if err != nil {
+			t.Fatalf("lfk%d: %v", k.ID, err)
+		}
+		for round := 0; round < 2; round++ {
+			for _, cfg := range cfgs {
+				p, err := fasttier.NewPredictor(calib.FastTierConfig(cfg)).Predict(prog, int64(k.Elements), k.DataInts())
+				if errors.Is(err, fasttier.ErrDataDependent) {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("lfk%d: %v", k.ID, err)
+				}
+				if want := fasttier.Signature(prog); p.Signature != want {
+					t.Errorf("lfk%d: signature %s, want %s", k.ID, p.Signature, want)
+				}
+				if want := fasttier.Class(prog, cfg.Rules); p.Class != want {
+					t.Errorf("lfk%d chaining=%v: class %s, want %s", k.ID, cfg.Rules.Chaining, p.Class, want)
+				}
+			}
 		}
 	}
 }

@@ -214,6 +214,36 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestDerivedComputedOncePerProgram: a derived fact is computed on the
+// first call for its key and returned from the program afterwards, keys
+// are independent, and a clone starts without the original's facts.
+func TestDerivedComputedOncePerProgram(t *testing.T) {
+	type keyA struct{}
+	type keyB struct{ n int }
+	p := MustParse(lfk1Asm)
+	calls := 0
+	fact := func(v string) func() any {
+		return func() any { calls++; return v }
+	}
+	for i := 0; i < 3; i++ {
+		if got := p.Derived(keyA{}, fact("a")); got != "a" {
+			t.Fatalf("Derived(keyA) = %v", got)
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("compute ran %d times for one key, want 1", calls)
+	}
+	if got := p.Derived(keyB{1}, fact("b1")); got != "b1" || calls != 2 {
+		t.Fatalf("Derived(keyB{1}) = %v after %d computes", got, calls)
+	}
+	if got := p.Derived(keyB{2}, fact("b2")); got != "b2" || calls != 3 {
+		t.Fatalf("Derived(keyB{2}) = %v after %d computes", got, calls)
+	}
+	if got := p.Clone().Derived(keyA{}, fact("clone")); got != "clone" || calls != 4 {
+		t.Fatalf("clone inherited a derived fact: %v", got)
+	}
+}
+
 func TestValidateCatchesDanglingLabelIndex(t *testing.T) {
 	p := &Program{}
 	p.Add(isa.Instr{Op: isa.OpNop})

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"macs/internal/isa"
 )
@@ -27,11 +28,54 @@ type Program struct {
 	Instrs []isa.Instr
 	Labels map[string]int // label -> index into Instrs
 	Data   []DataDef
+
+	// derived holds facts later layers compute from the finished
+	// program (see Derived); it lives and dies with the program.
+	derivedMu sync.Mutex
+	derived   []derivedFact
+}
+
+// derivedFact is one entry of Program.derived. A program carries a
+// handful, so a slice scan beats a map in both time and space.
+type derivedFact struct{ key, val any }
+
+// Derived returns the fact compute derives from the program under key:
+// compute runs on the first call for a key (concurrent first calls may
+// each run it; one result wins) and later calls return the stored value.
+// It is for facts of a finished program: a later Add, SetLabel or
+// AddData does not invalidate them. Keys should be unexported types of
+// the calling package, few per program — the store is never evicted.
+func (p *Program) Derived(key any, compute func() any) any {
+	p.derivedMu.Lock()
+	v, ok := p.findDerived(key)
+	p.derivedMu.Unlock()
+	if ok {
+		return v
+	}
+	v = compute()
+	p.derivedMu.Lock()
+	defer p.derivedMu.Unlock()
+	if won, ok := p.findDerived(key); ok {
+		return won
+	}
+	p.derived = append(p.derived, derivedFact{key, v})
+	return v
+}
+
+// findDerived looks key up among the stored facts; the caller holds
+// derivedMu.
+func (p *Program) findDerived(key any) (any, bool) {
+	for _, f := range p.derived {
+		if f.key == key {
+			return f.val, true
+		}
+	}
+	return nil, false
 }
 
 // Clone returns a deep copy of the program. Instruction operand slices are
 // copied so the clone can be rewritten independently (the A/X generators
-// rely on this).
+// rely on this); derived facts are not carried over.
 func (p *Program) Clone() *Program {
 	q := &Program{
 		Instrs: make([]isa.Instr, len(p.Instrs)),

@@ -414,10 +414,19 @@ func Predict(prog *asm.Program, iterations int64, ints map[string]int64, cfg Con
 	return newReplay(cfg).predict(prog, iterations, ints)
 }
 
+// signatureKey and classKey key a program's schedule identity among its
+// derived facts: computed on the program's first prediction, reused by
+// every later one (an explore sweep predicts one program on every grid
+// point), and gone with the program.
+type (
+	signatureKey struct{}
+	classKey     struct{ rules core.Rules }
+)
+
 // finishPrediction applies the calibrated residual and stamps identity.
 func finishPrediction(pred *Prediction, prog *asm.Program, rules core.Rules, iterations int64) {
-	pred.Signature = Signature(prog)
-	pred.Class = Class(prog, rules)
+	pred.Signature = prog.Derived(signatureKey{}, func() any { return Signature(prog) }).(string)
+	pred.Class = prog.Derived(classKey{rules}, func() any { return Class(prog, rules) }).(string)
 	if iterations > 0 {
 		pred.RawCPL = float64(pred.Cycles) / float64(iterations)
 	}

@@ -37,8 +37,10 @@ const (
 )
 
 // ChromeTrace renders the trace's spans, merged with its simulator lane
-// events, as Chrome trace_event JSON.
+// events, as Chrome trace_event JSON. Pending lanes of a Snapshot are
+// rendered first.
 func ChromeTrace(v TraceView) ([]byte, error) {
+	v = v.WithLanes()
 	doc := chromeDoc{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
 	doc.TraceEvents = append(doc.TraceEvents,
 		chromeEvent{Name: "process_name", Ph: "M", PID: chromePIDRequest,

@@ -7,8 +7,10 @@
 // The span API is designed so the pipeline can be instrumented
 // unconditionally: when no Trace rides the context, Start is a single
 // context.Value lookup returning a nil *Span whose End is a no-op —
-// nanoseconds, no allocation — so the hot paths (and their benchmarks)
-// pay nothing when tracing is off.
+// nanoseconds, no allocation — so library callers and benchmarks that
+// pass no trace pay nothing. A traced request pays one small record per
+// span; the simulator's lane rows, far costlier, are rendered only when
+// a view of the trace is read (see AddLanes).
 //
 //	ctx, sp := obs.Start(ctx, "simulate")
 //	... stage work ...
@@ -36,8 +38,8 @@ const (
 )
 
 // Trace is one request's collection of completed (and in-progress)
-// spans, plus optionally the simulator's per-lane timing events anchored
-// under one span. It is safe for concurrent use: batch fan-out items and
+// spans, plus optionally the simulator's per-lane timing rows of its one
+// simulated run. It is safe for concurrent use: batch fan-out items and
 // asynchronous verifications may start spans from several goroutines.
 type Trace struct {
 	id    string
@@ -45,10 +47,30 @@ type Trace struct {
 
 	mu    sync.Mutex
 	spans []spanRecord
-	lanes []LaneEvent
-	// laneAnchor is the index of the span whose start anchors the lane
-	// events' cycle timestamps (-1: none).
-	laneAnchor int
+	lanes *laneRows
+}
+
+// laneRows is a trace's simulator lanes, rendered at most once and only
+// when a view that shows them is read: most traces are never read, and
+// rendering builds a string, an instruction print and an args map per
+// vector instruction of the run.
+type laneRows struct {
+	once   sync.Once
+	render func() []LaneEvent
+	rows   []LaneEvent
+}
+
+// get renders the rows on first use; every later call, from any view
+// sharing the holder, returns the same rows. Safe on nil (no lanes).
+func (l *laneRows) get() []LaneEvent {
+	if l == nil {
+		return nil
+	}
+	l.once.Do(func() {
+		l.rows = l.render()
+		l.render = nil // release the renderer's captured events
+	})
+	return l.rows
 }
 
 // spanRecord is the immutable part of a span kept on the trace.
@@ -98,7 +120,7 @@ func NewTrace(id string) *Trace {
 	if id == "" {
 		id = NewID()
 	}
-	return &Trace{id: id, start: time.Now(), laneAnchor: -1}
+	return &Trace{id: id, start: time.Now()}
 }
 
 // ID returns the trace's identifier.
@@ -132,21 +154,20 @@ func (s *Span) End() {
 	t.mu.Unlock()
 }
 
-// AddLanes attaches simulator lane events to the trace, anchored at the
-// given span (cycle 0 of the events maps to the span's start in the
-// merged Chrome timeline). Later calls replace earlier ones — a trace
-// carries the lanes of its one simulated run.
-func (t *Trace) AddLanes(anchor *Span, events []LaneEvent) {
-	if t == nil || len(events) == 0 {
+// AddLanes attaches a simulated run's lanes to the trace in deferred
+// form: render produces the rows, and runs at most once, the first time
+// a view showing lanes is read (View, TraceView.WithLanes, ChromeTrace).
+// render must own what it captures — the caller's buffers may be reused
+// once AddLanes returns. Cycle 0 of the rows maps to the start of the
+// trace's "simulate" span in the merged Chrome timeline. Later calls
+// replace earlier ones — a trace carries the lanes of its one simulated
+// run.
+func (t *Trace) AddLanes(render func() []LaneEvent) {
+	if t == nil || render == nil {
 		return
 	}
-	idx := -1
-	if anchor != nil && anchor.trace == t {
-		idx = anchor.idx
-	}
 	t.mu.Lock()
-	t.lanes = append(t.lanes[:0], events...)
-	t.laneAnchor = idx
+	t.lanes = &laneRows{render: render}
 	t.mu.Unlock()
 }
 
@@ -168,19 +189,31 @@ type TraceView struct {
 	ID    string     `json:"id"`
 	Spans []SpanView `json:"spans"`
 	// Lanes carries the simulator's per-lane events of the traced run,
-	// in cycles; empty when the request ran no simulation.
+	// in cycles; empty when the request ran no simulation or when the
+	// view came from Snapshot and its lanes are still pending.
 	Lanes []LaneEvent `json:"lanes,omitempty"`
+
+	// pending holds a Snapshot's unrendered lanes; WithLanes renders
+	// them into Lanes. Shared by every copy of the snapshot.
+	pending *laneRows
 }
 
-// View snapshots the trace. In-progress spans report their duration so
-// far with Complete false.
-func (t *Trace) View() TraceView {
+// View snapshots the trace with its simulator lanes rendered (once per
+// trace: later views share the rows, which are read-only). In-progress
+// spans report their duration so far with Complete false.
+func (t *Trace) View() TraceView { return t.Snapshot().WithLanes() }
+
+// Snapshot is View without the lane rendering: the spans are copied now,
+// and the lanes stay pending until WithLanes (or ChromeTrace) is called
+// on the snapshot. It is the cheap way to retain a trace that may never
+// be read.
+func (t *Trace) Snapshot() TraceView {
 	if t == nil {
 		return TraceView{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	v := TraceView{ID: t.id, Spans: make([]SpanView, len(t.spans))}
+	v := TraceView{ID: t.id, Spans: make([]SpanView, len(t.spans)), pending: t.lanes}
 	for i, r := range t.spans {
 		d := r.dur
 		if !r.ended {
@@ -194,8 +227,15 @@ func (t *Trace) View() TraceView {
 			Complete: r.ended,
 		}
 	}
-	if len(t.lanes) > 0 {
-		v.Lanes = append(v.Lanes, t.lanes...)
+	return v
+}
+
+// WithLanes returns v with any pending simulator lanes rendered into
+// Lanes. The rendering runs once however many copies of a snapshot ask.
+func (v TraceView) WithLanes() TraceView {
+	if v.pending != nil {
+		v.Lanes = v.pending.get()
+		v.pending = nil
 	}
 	return v
 }

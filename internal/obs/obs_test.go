@@ -3,8 +3,10 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -149,9 +151,11 @@ func TestChromeTraceMergesLanes(t *testing.T) {
 	ctx := NewContext(context.Background(), tr)
 	ctx, root := Start(ctx, "analyze")
 	_, sim := Start(ctx, "simulate")
-	tr.AddLanes(sim, []LaneEvent{
-		{Lane: "add pipe", Name: "vadd", Start: 0, Dur: 10, Args: map[string]any{"vl": 128}},
-		{Lane: "load/store pipe", Name: "vload", Start: 2, Dur: 12},
+	tr.AddLanes(func() []LaneEvent {
+		return []LaneEvent{
+			{Lane: "add pipe", Name: "vadd", Start: 0, Dur: 10, Args: map[string]any{"vl": 128}},
+			{Lane: "load/store pipe", Name: "vload", Start: 2, Dur: 12},
+		}
 	})
 	sim.End()
 	root.End()
@@ -193,6 +197,61 @@ func TestChromeTraceMergesLanes(t *testing.T) {
 		if !strings.Contains(joined, want) {
 			t.Errorf("thread names %q missing %q", joined, want)
 		}
+	}
+}
+
+// TestLanesRenderedOnRead pins the deferred lane contract: a trace that
+// is never read never renders its lanes, and however many views of it
+// are read — live, or from retained snapshots, concurrently — the
+// renderer runs once and every view carries the same rows.
+func TestLanesRenderedOnRead(t *testing.T) {
+	rows := []LaneEvent{{Lane: "add pipe", Name: "add.d v0,v1,v2", Start: 3, Dur: 128}}
+	counted := func(calls *atomic.Int32) func() []LaneEvent {
+		return func() []LaneEvent {
+			calls.Add(1)
+			return rows
+		}
+	}
+
+	var unread atomic.Int32
+	tr := NewTrace("")
+	ctx := NewContext(context.Background(), tr)
+	_, sim := Start(ctx, "simulate")
+	tr.AddLanes(counted(&unread))
+	sim.End()
+	snap := tr.Snapshot()
+	tr.StageDurations()
+	if len(snap.Lanes) != 0 {
+		t.Fatalf("snapshot rendered its lanes: %+v", snap.Lanes)
+	}
+	if n := unread.Load(); n != 0 {
+		t.Fatalf("renderer ran %d times for a trace never read, want 0", n)
+	}
+
+	var read atomic.Int32
+	tr = NewTrace("")
+	tr.AddLanes(counted(&read))
+	snap = tr.Snapshot()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 10; j++ {
+				for _, v := range []TraceView{snap.WithLanes(), tr.View()} {
+					if !reflect.DeepEqual(v.Lanes, rows) {
+						t.Errorf("view lanes = %+v, want %+v", v.Lanes, rows)
+					}
+				}
+				if _, err := ChromeTrace(snap); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := read.Load(); n != 1 {
+		t.Fatalf("renderer ran %d times across repeated reads, want 1", n)
 	}
 }
 

@@ -1,15 +1,21 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"macs"
+	"macs/internal/lfk"
 	"macs/internal/obs"
 )
 
@@ -387,4 +393,146 @@ func mustGet(t *testing.T, url string) *http.Response {
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// TestTraceLanesGoldenLFK serves every case-study kernel traced and
+// checks the lanes against eager rendering: the ?trace=1 block's lanes
+// are byte-identical to vm.LaneEvents applied to the run's events, and
+// GET /v1/trace/{id} is byte-identical to the Chrome document of the
+// stored spans with those lanes — both for a trace whose lanes the
+// ?trace=1 response already rendered and for one first rendered by the
+// lookup.
+func TestTraceLanesGoldenLFK(t *testing.T) {
+	s, srv := newTestServer(t, Config{Workers: 2, QueueSize: 8})
+	an := macs.NewAnalyzer(s.cfg.VM)
+	for _, k := range lfk.All() {
+		prime := Priming{Ints: k.Ints, Reals: k.Reals, Arrays: k.Arrays}
+		req := AnalyzeRequest{Source: k.Source, Iterations: int64(k.Elements), Prime: prime}
+		ref, err := an.AnalyzeSource(req.Source, req.Iterations, prime.primeFunc())
+		if err != nil {
+			t.Fatalf("lfk%d: %v", k.ID, err)
+		}
+		want := macs.LaneEvents(ref.Trace)
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		resp := postJSON(t, srv.URL+"/v1/analyze?trace=1", req)
+		viewed := resp.Header.Get("X-Macs-Trace")
+		body := decode[struct {
+			Trace struct {
+				Lanes json.RawMessage `json:"lanes"`
+			} `json:"trace"`
+		}](t, resp)
+		var got bytes.Buffer
+		if err := json.Compact(&got, body.Trace.Lanes); err != nil {
+			t.Fatalf("lfk%d: ?trace=1 lanes: %v", k.ID, err)
+		}
+		if !bytes.Equal(got.Bytes(), wantJSON) {
+			t.Errorf("lfk%d: ?trace=1 lanes differ from vm.LaneEvents", k.ID)
+		}
+
+		// A different iteration count is a cache miss that simulates the
+		// same run again, untraced in the response.
+		req.Iterations++
+		resp = postJSON(t, srv.URL+"/v1/analyze", req)
+		unread := resp.Header.Get("X-Macs-Trace")
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+
+		for _, id := range []string{viewed, unread} {
+			stored := storedTrace(t, s, id)
+			if id == unread && len(stored.Lanes) != 0 {
+				t.Errorf("lfk%d: trace never read was stored with rendered lanes", k.ID)
+			}
+			if v, ok := s.TraceByID(id); !ok || !reflect.DeepEqual(v.Lanes, want) {
+				t.Errorf("lfk%d: TraceByID(%s) lanes differ from vm.LaneEvents", k.ID, id)
+			}
+			wantDoc, err := obs.ChromeTrace(obs.TraceView{ID: stored.ID, Spans: stored.Spans, Lanes: want})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := mustGet(t, srv.URL+"/v1/trace/"+id)
+			doc, err := io.ReadAll(r.Body)
+			r.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(doc, wantDoc) {
+				t.Errorf("lfk%d: GET /v1/trace/%s differs from eager rendering", k.ID, id)
+			}
+		}
+	}
+}
+
+// storedTrace waits for a request's trace to reach the store: the
+// handler stores it after writing the response, so a client can see the
+// reply first.
+func storedTrace(t *testing.T, s *Service, id string) obs.TraceView {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		s.traceMu.Lock()
+		v, ok := s.traces[id]
+		s.traceMu.Unlock()
+		if ok {
+			return v
+		}
+	}
+	t.Fatalf("trace %s never stored", id)
+	return obs.TraceView{}
+}
+
+// TestTraceStoreConcurrentRace runs lookups against the trace store
+// while requests finish into it and evict from it; under -race it is the
+// lock-discipline proof for rendering lanes outside the store's lock.
+func TestTraceStoreConcurrentRace(t *testing.T) {
+	s := New(Config{Workers: 1, QueueSize: 1, TraceKeep: 8})
+	defer s.Close()
+	const writers, perWriter = 4, 50
+	rows := []obs.LaneEvent{{Lane: "add pipe", Name: "add.d", Start: 1, Dur: 128}}
+	ids := make(chan string, writers*perWriter) // one slot per finished trace
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tr := obs.NewTrace("")
+				_, sp := obs.Start(obs.NewContext(context.Background(), tr), "simulate")
+				tr.AddLanes(func() []obs.LaneEvent { return rows })
+				sp.End()
+				s.finishTrace(tr)
+				ids <- tr.ID()
+			}
+		}()
+	}
+	var found atomic.Int64
+	for r := 0; r < writers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				id := <-ids
+				for j := 0; j < 3; j++ {
+					if v, ok := s.TraceByID(id); ok {
+						found.Add(1)
+						if len(v.Lanes) != 1 || len(v.Spans) != 1 {
+							t.Errorf("trace %s: %d lanes, %d spans", id, len(v.Lanes), len(v.Spans))
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if found.Load() == 0 {
+		t.Error("no lookup found its trace")
+	}
+	s.traceMu.Lock()
+	n := len(s.traces)
+	s.traceMu.Unlock()
+	if n != 8 {
+		t.Errorf("store holds %d traces, want TraceKeep = 8", n)
+	}
 }

@@ -353,7 +353,8 @@ func (s *Service) Close() {
 
 // finishTrace folds a completed request trace into the per-stage latency
 // histograms and retains its snapshot for GET /v1/trace/{id}, evicting
-// the oldest once TraceKeep is exceeded.
+// the oldest once TraceKeep is exceeded. The snapshot keeps its
+// simulator lanes unrendered: most traces are never read.
 func (s *Service) finishTrace(tr *obs.Trace) {
 	if tr == nil {
 		return
@@ -361,7 +362,7 @@ func (s *Service) finishTrace(tr *obs.Trace) {
 	for stage, d := range tr.StageDurations() {
 		s.metrics.ObserveStage(stage, d)
 	}
-	v := tr.View()
+	v := tr.Snapshot()
 	if v.ID == "" {
 		return
 	}
@@ -377,12 +378,15 @@ func (s *Service) finishTrace(tr *obs.Trace) {
 	s.traceMu.Unlock()
 }
 
-// TraceByID returns the retained snapshot of one completed request trace.
+// TraceByID returns the retained snapshot of one completed request
+// trace with its simulator lanes rendered. The first lookup renders
+// them, outside the store's lock; the rows stay with the stored
+// snapshot, so later lookups reuse them.
 func (s *Service) TraceByID(id string) (obs.TraceView, bool) {
 	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
 	v, ok := s.traces[id]
-	return v, ok
+	s.traceMu.Unlock()
+	return v.WithLanes(), ok
 }
 
 // acceptGate rejects work arriving after Close flipped the closed flag.

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -21,6 +22,29 @@ type Pool struct {
 	reuses atomic.Int64
 }
 
+// keepIdle bounds how many idle CPUs, across every pool in the process,
+// are held strongly. A sync.Pool is emptied by two garbage collections,
+// and a busy analyzer's GCs come often (each fresh CPU is a 16 MiB
+// allocation), so without a strong hold the pool of a steady request
+// stream keeps losing its CPUs and rebuilding them. The bound is global,
+// not per pool, because the explorer makes one pool per machine it
+// simulates: per-pool holds would pin a memory image for every machine
+// ever swept.
+const keepIdle = 2
+
+// kept holds the most recently returned idle CPUs, oldest first. A Put
+// past keepIdle hands the oldest to its own pool's sync.Pool, so the
+// holds follow whichever pools are in use.
+var kept struct {
+	mu   sync.Mutex
+	idle []keptCPU
+}
+
+type keptCPU struct {
+	pool *Pool
+	cpu  *CPU
+}
+
 // NewPool creates a pool of CPUs with the given configuration.
 func NewPool(cfg Config) *Pool {
 	pl := &Pool{cfg: cfg}
@@ -36,6 +60,9 @@ func (p *Pool) Config() Config { return p.cfg }
 
 // Get returns a reset CPU, creating one if the pool is empty.
 func (p *Pool) Get() *CPU {
+	if c := p.takeKept(); c != nil {
+		return c
+	}
 	c, ok := p.p.Get().(*CPU)
 	if !ok {
 		// Unreachable: the pool only ever holds *CPU. Fail safe with a
@@ -50,6 +77,20 @@ func (p *Pool) Get() *CPU {
 	return c
 }
 
+// takeKept removes and returns the newest strongly held CPU of this
+// pool, or nil if there is none.
+func (p *Pool) takeKept() *CPU {
+	kept.mu.Lock()
+	defer kept.mu.Unlock()
+	for i := len(kept.idle) - 1; i >= 0; i-- {
+		if k := kept.idle[i]; k.pool == p {
+			kept.idle = slices.Delete(kept.idle, i, i+1)
+			return k.cpu
+		}
+	}
+	return nil
+}
+
 // Put resets a CPU and returns it to the pool. Putting nil is a no-op. The
 // CPU must not be used after Put.
 func (p *Pool) Put(c *CPU) {
@@ -58,7 +99,17 @@ func (p *Pool) Put(c *CPU) {
 	}
 	c.Reset()
 	p.reuses.Add(1)
-	p.p.Put(c)
+	kept.mu.Lock()
+	kept.idle = append(kept.idle, keptCPU{p, c})
+	var old keptCPU
+	if len(kept.idle) > keepIdle {
+		old = kept.idle[0]
+		kept.idle = slices.Delete(kept.idle, 0, 1)
+	}
+	kept.mu.Unlock()
+	if old.cpu != nil {
+		old.pool.p.Put(old.cpu)
+	}
 }
 
 // Stats reports how many CPUs the pool has created and how many Puts have

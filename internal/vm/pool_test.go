@@ -2,6 +2,7 @@ package vm
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -193,3 +194,49 @@ func TestPoolConcurrent(t *testing.T) {
 type errMismatch struct{}
 
 func (errMismatch) Error() string { return "pooled run stats diverge from fresh reference" }
+
+// TestPoolSurvivesGC checks that garbage collections between runs do not
+// make a steadily used pool rebuild its CPU: a sync.Pool alone is emptied
+// by two collections.
+func TestPoolSurvivesGC(t *testing.T) {
+	pool := NewPool(DefaultConfig())
+	for i := 0; i < 4; i++ {
+		c := pool.Get()
+		runOn(t, c, poolTestSrc)
+		pool.Put(c)
+		runtime.GC()
+		runtime.GC()
+	}
+	if created, returned := pool.Stats(); created != 1 || returned != 4 {
+		t.Fatalf("created=%d returned=%d across collections, want 1 and 4", created, returned)
+	}
+}
+
+// TestPoolKeepBounded checks that the strong hold on idle CPUs is bounded
+// across pools, and that each pool gets back only its own CPUs.
+func TestPoolKeepBounded(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MemSize = 1 << 16
+	pools := make([]*Pool, 2*keepIdle)
+	cpus := make([]*CPU, len(pools))
+	for i := range pools {
+		pools[i] = NewPool(cfg)
+		cpus[i] = pools[i].Get()
+	}
+	for i, p := range pools {
+		p.Put(cpus[i])
+	}
+	kept.mu.Lock()
+	n := len(kept.idle)
+	kept.mu.Unlock()
+	if n > keepIdle {
+		t.Fatalf("%d idle CPUs held strongly, want at most %d", n, keepIdle)
+	}
+	last := len(pools) - 1
+	if c := pools[last].Get(); c != cpus[last] {
+		t.Fatal("most recently returned CPU was not handed back to its pool")
+	}
+	if c := pools[last].Get(); c == cpus[last-1] {
+		t.Fatal("a pool was handed another pool's CPU")
+	}
+}

@@ -242,10 +242,16 @@ type Result struct {
 // inner loop under the given configuration. It is the shared front half
 // of BoundSource and AnalyzeSource. The compile, verify and bound stages
 // each record a span on the trace riding ctx (no-ops when none does).
+// The source is parsed once: code generation only reads the AST, so the
+// bound stage takes its MA workload from the same tree.
 func boundSource(ctx context.Context, src string, opts CompilerOptions, vl int, rules Rules) (*Program, Analysis, error) {
 	var a Analysis
 	_, sp := obs.Start(ctx, "compile")
-	prog, err := compiler.Compile(src, opts)
+	parsed, err := ftn.Parse(src)
+	var prog *Program
+	if err == nil {
+		prog, err = compiler.CompileProgram(parsed, opts)
+	}
 	sp.End()
 	if err != nil {
 		return nil, a, err
@@ -257,20 +263,16 @@ func boundSource(ctx context.Context, src string, opts CompilerOptions, vl int, 
 		return prog, a, err
 	}
 	_, sp = obs.Start(ctx, "bound")
-	a, err = boundProgram(src, prog, vl, rules)
+	a, err = boundParsed(parsed, prog, vl, rules)
 	sp.End()
 	return prog, a, err
 }
 
-// boundProgram is the model half of boundSource: MA workload from the
+// boundParsed computes the hierarchy: MA workload from the parsed
 // source, chime partition from the compiled loop, critical path from the
 // dependence graph.
-func boundProgram(src string, prog *Program, vl int, rules Rules) (Analysis, error) {
+func boundParsed(parsed *ftn.Program, prog *Program, vl int, rules Rules) (Analysis, error) {
 	var a Analysis
-	parsed, err := ftn.Parse(src)
-	if err != nil {
-		return a, err
-	}
 	loopStmt, ok := compiler.InnerLoop(parsed)
 	if !ok {
 		return a, fmt.Errorf("macs: source has no DO loop")
@@ -297,7 +299,11 @@ func boundProgram(src string, prog *Program, vl int, rules Rules) (Analysis, err
 // must be the source prog was compiled from: the MA workload comes from
 // the high-level code.
 func BoundCompiled(src string, prog *Program, vl int, rules Rules) (Analysis, error) {
-	return boundProgram(src, prog, vl, rules)
+	parsed, err := ftn.Parse(src)
+	if err != nil {
+		return Analysis{}, err
+	}
+	return boundParsed(parsed, prog, vl, rules)
 }
 
 // BoundSource compiles src and computes the MA/MAC/MACS bounds hierarchy
@@ -382,9 +388,13 @@ func analyzeOn(ctx context.Context, cpu *vm.CPU, src string, iterations int64, c
 	}
 	_, sim := obs.Start(ctx, "simulate")
 	res.Stats, err = cpu.Run()
+	// TraceEvents hands back events no later run writes to (a copy of
+	// the pooled CPU's ring, or the unbounded log a reset drops), so the
+	// trace can keep them and render its lanes only if someone reads it.
 	res.Trace = cpu.TraceEvents()
 	if tr := obs.FromContext(ctx); tr != nil && len(res.Trace) > 0 {
-		tr.AddLanes(sim, vm.LaneEvents(res.Trace))
+		events := res.Trace
+		tr.AddLanes(func() []obs.LaneEvent { return vm.LaneEvents(events) })
 	}
 	sim.End()
 	if err != nil {
