@@ -521,8 +521,9 @@ func BenchmarkExplore(b *testing.B) {
 		{Param: "refresh-period", Values: []float64{200, 300, 400, 500, 600}},
 		{Param: "vlmax", Values: []float64{32, 64, 96, 128}},
 	}}
-	// One shared evaluator registry: repeated sweeps keep per-machine
-	// simulator pools and prediction memos warm, the serving steady state.
+	// One shared evaluator registry: repeated sweeps keep the simulator
+	// pool, per-machine predictors and compiled programs (with their
+	// prediction memos) warm, the serving steady state.
 	evals := explore.NewEvaluators(vm.DefaultConfig())
 	for _, k := range lfk.All() {
 		k := k
@@ -539,8 +540,8 @@ func BenchmarkExplore(b *testing.B) {
 				Prime:      k.PrimeFunc(),
 			}
 			ctx := context.Background()
-			// One untimed warm-up sweep builds this kernel's per-machine
-			// prediction memos and simulator pools; the timed loop then
+			// One untimed warm-up sweep builds this kernel's programs,
+			// prediction memos and stall tables; the timed loop then
 			// measures the serving steady state (cold-start cost is what
 			// BenchmarkLFKNaive and BenchmarkFastTierCold cover).
 			if _, err := eng.Sweep(ctx, req); err != nil {

@@ -149,7 +149,8 @@ func (b *ChimeBuilder) Fits(in isa.Instr) bool {
 		// vector memory references (paper §3.3).
 		return false
 	}
-	for _, r := range in.VectorReads() {
+	var regs [8]isa.Reg // decode buffer, see isa.Instr.AppendSources
+	for _, r := range in.AppendVectorReads(regs[:0]) {
 		w, written := b.writers[r]
 		if !written {
 			continue
@@ -199,7 +200,8 @@ func (b *ChimeBuilder) Add(in isa.Instr) {
 }
 
 func accumulatePairRefs(in isa.Instr, reads, writes *[4]int) {
-	for _, r := range in.VectorReads() {
+	var regs [8]isa.Reg
+	for _, r := range in.AppendVectorReads(regs[:0]) {
 		reads[r.Pair()]++
 	}
 	if w, ok := in.VectorWrite(); ok {

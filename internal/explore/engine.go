@@ -39,34 +39,27 @@ type Options struct {
 	MinTop int
 	// Workers bounds sweep concurrency; <1 uses all cores.
 	Workers int
-	// Evaluators, when non-nil, shares per-machine state (simulator pools,
-	// fast-tier predictors) with other engines — the serving layer holds
-	// one registry across requests so repeated sweeps keep their stall
-	// tables and prediction memos warm. Nil gives the engine its own.
+	// Evaluators, when non-nil, shares sweep state (the simulator pool,
+	// fast-tier predictors, compiled programs) with other engines — the
+	// serving layer holds one registry across requests so repeated
+	// sweeps keep their stall tables and prediction memos warm. Nil
+	// gives the engine its own.
 	Evaluators *Evaluators
 }
 
-// evaluator is the per-machine state of a sweep: the concrete run
-// configuration, the fast-tier predictor (with its memo and pooled
-// replayers) and the pooled exact simulators. Machines are recognized by
-// canonical fingerprint, so two grids naming the same machine share one
-// evaluator.
-type evaluator struct {
-	cfg  vm.Config
-	pred *fasttier.Predictor
-	pool *vm.Pool
-}
-
-// Evaluators is a fingerprint-keyed registry of per-machine evaluators,
-// safe for concurrent use and shareable between engines. It also caches
-// compiled programs by (source, compiler options): the fast tier's
-// prediction memo is keyed by program pointer, so handing repeated
-// sweeps the same *Program is what lets a warm sweep skip the schedule
-// replay for every machine it has already scored.
+// Evaluators is the state sweeps share, safe for concurrent use and
+// shareable between engines: one simulator pool over the run template,
+// whose CPUs are retargeted to each survivor's machine; a
+// fingerprint-keyed registry of per-machine fast-tier predictors (two
+// grids naming the same machine share one); and compiled programs by
+// (source, compiler options). The prediction memo lives on the program,
+// so handing repeated sweeps the same *Program is what lets a warm sweep
+// skip the schedule replay for every machine it has already scored.
 type Evaluators struct {
-	run vm.Config
-	mu  sync.Mutex
-	m   map[string]*evaluator
+	run  vm.Config
+	pool *vm.Pool
+	mu   sync.Mutex
+	m    map[string]*fasttier.Predictor
 
 	progMu sync.Mutex
 	progs  map[progKey]*macs.Program
@@ -92,27 +85,24 @@ func NewEvaluators(run vm.Config) *Evaluators {
 	}
 	return &Evaluators{
 		run:   run,
-		m:     make(map[string]*evaluator),
+		pool:  vm.NewPool(run),
+		m:     make(map[string]*fasttier.Predictor),
 		progs: make(map[progKey]*macs.Program),
 	}
 }
 
-// get returns (creating on first sight) the evaluator for one machine.
-func (e *Evaluators) get(m vm.Machine) *evaluator {
+// predictor returns (creating on first sight) the fast-tier predictor
+// for one machine.
+func (e *Evaluators) predictor(m vm.Machine) *fasttier.Predictor {
 	fp := m.Fingerprint()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ev, ok := e.m[fp]; ok {
-		return ev
+	if p, ok := e.m[fp]; ok {
+		return p
 	}
-	cfg := e.run.WithMachine(m)
-	ev := &evaluator{
-		cfg:  cfg,
-		pred: fasttier.NewPredictor(calib.FastTierConfig(cfg)),
-		pool: vm.NewPool(cfg),
-	}
-	e.m[fp] = ev
-	return ev
+	p := fasttier.NewPredictor(calib.FastTierConfig(e.run.WithMachine(m)))
+	e.m[fp] = p
+	return p
 }
 
 // program returns the compiled and verified program for one source at
@@ -148,6 +138,10 @@ func (e *Evaluators) Machines() int {
 	defer e.mu.Unlock()
 	return len(e.m)
 }
+
+// SimPool reports the shared simulator pool: CPUs created, and survivor
+// runs that returned one for reuse.
+func (e *Evaluators) SimPool() (created, recycled int64) { return e.pool.Stats() }
 
 // Engine sweeps one grid over kernels. Create with New; an Engine may
 // run many Sweeps (one per kernel) and is safe for concurrent use.
@@ -385,7 +379,7 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 			Fingerprint: m.Fingerprint(),
 			Bounds:      boundsOf[boundsKey{e.effVL(m), m.Rules}],
 		}
-		pred, err := e.evals.get(m).pred.Predict(progOf[e.effVL(m)], req.Iterations, req.Ints)
+		pred, err := e.evals.predictor(m).Predict(progOf[e.effVL(m)], req.Iterations, req.Ints)
 		switch {
 		case errors.Is(err, fasttier.ErrDataDependent):
 			dataDependent.Do(func() { fallback = true })
@@ -440,9 +434,8 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 	err = par.ForEachCtx(ctx, e.opts.Workers, len(survivors), func(j int) error {
 		i := survivors[j]
 		p := &sw.Points[i]
-		ev := e.evals.get(p.Machine)
-		cpu := ev.pool.Get()
-		defer ev.pool.Put(cpu)
+		cpu := e.evals.pool.GetFor(p.Machine)
+		defer e.evals.pool.Put(cpu)
 		if err := cpu.Load(progOf[e.effVL(p.Machine)]); err != nil {
 			return fmt.Errorf("explore: point %d: %w", i, err)
 		}

@@ -358,3 +358,47 @@ func TestSharedEvaluators(t *testing.T) {
 		t.Fatalf("shared registry holds %d machines, want 2", got)
 	}
 }
+
+// TestColdSweepSimulatorCount: one pool serves every machine of a sweep,
+// so cold sweeps of a 192-point grid (memory geometry and refresh timing
+// crossed with three vector lengths) build no more CPUs than there are
+// workers — not one pool of CPUs per machine simulated.
+func TestColdSweepSimulatorCount(t *testing.T) {
+	grid := Grid{Axes: []Axis{
+		{Param: "banks", Values: []float64{16, 32, 64, 128}},
+		{Param: "bank-cycle", Values: []float64{4, 6, 8, 12}},
+		{Param: "refresh-period", Values: []float64{200, 400, 800, 1600}},
+		{Param: "vlmax", Values: []float64{32, 64, 128}},
+	}}
+	const workers = 2
+	evals := NewEvaluators(vm.DefaultConfig())
+	eng, err := New(grid, Options{Workers: workers, Evaluators: evals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	simulated := 0
+	for _, id := range []int{1, 7, 12} {
+		k, err := lfk.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, err := eng.Sweep(context.Background(), Request{
+			Source: k.Source, Iterations: int64(k.Elements),
+			Ints: k.DataInts(), Prime: k.PrimeFunc(),
+		})
+		if err != nil {
+			t.Fatalf("lfk%d: %v", id, err)
+		}
+		if sw.Swept != 192 {
+			t.Fatalf("lfk%d: swept %d points, want 192", id, sw.Swept)
+		}
+		simulated += sw.Simulated
+	}
+	created, recycled := evals.SimPool()
+	if created < 1 || created > workers {
+		t.Fatalf("sweeps built %d CPUs, want 1..%d", created, workers)
+	}
+	if recycled != int64(simulated) {
+		t.Fatalf("pool recycled %d CPUs, want one per survivor (%d)", recycled, simulated)
+	}
+}

@@ -322,31 +322,61 @@ func Class(p *asm.Program, rules core.Rules) string {
 // replay state — most importantly the memoized stream-stall table, whose
 // warmth is much of the fast tier's speed — across predictions. It is
 // safe for concurrent use.
+//
+// Finished predictions are memoized on the program itself (see memo), so
+// identical requests on one compiled program — the explore engine's and
+// the serving tier's steady state — answer in nanoseconds, and the memo
+// lives and dies with the program: a predictor never keeps a dropped
+// program alive.
 type Predictor struct {
 	cfg  Config
 	pool sync.Pool
-
-	// memo caches finished predictions by (program, iterations, inputs).
-	// A compiled program is immutable, so identical requests — the
-	// serving tier's steady state — answer from here in nanoseconds; the
-	// replay runs only on the first sight of a schedule.
-	mu   sync.Mutex
-	memo map[memoKey]Prediction
 }
 
-// memoKey identifies one prediction request. The program is keyed by
-// pointer: asm.Programs are immutable once compiled, and a recompiled
-// source simply misses and replays.
+// memo is one program's prediction memo, stored among the program's
+// derived facts. A compiled program is immutable, so a prediction for it
+// stays valid as long as the program exists.
+type memo struct {
+	mu sync.Mutex
+	m  map[memoKey]Prediction
+}
+
+// memoFact keys the memo among a program's derived facts.
+type memoFact struct{}
+
+// memoKey identifies one prediction request on a program: the predictor
+// (hence the machine), iterations and inputs.
 type memoKey struct {
-	prog       *asm.Program
+	pred       *Predictor
 	iterations int64
 	ints       string // canonical fingerprint of the primed integers
 	interval   bool   // interval (path-enumerated) predictions keyed apart
 }
 
-// memoCap bounds the prediction memo; on overflow the memo is dropped
-// wholesale (predictions are cheap to recompute, bookkeeping is not).
+// memoCap bounds one program's memo; on overflow it is dropped wholesale
+// (predictions are cheap to recompute, bookkeeping is not).
 const memoCap = 512
+
+// memoOf returns prog's prediction memo, creating it on first use.
+func memoOf(prog *asm.Program) *memo {
+	return prog.Derived(memoFact{}, func() any { return new(memo) }).(*memo)
+}
+
+func (mo *memo) get(key memoKey) (Prediction, bool) {
+	mo.mu.Lock()
+	defer mo.mu.Unlock()
+	pred, ok := mo.m[key]
+	return pred, ok
+}
+
+func (mo *memo) put(key memoKey, pred Prediction) {
+	mo.mu.Lock()
+	defer mo.mu.Unlock()
+	if mo.m == nil || len(mo.m) >= memoCap {
+		mo.m = make(map[memoKey]Prediction)
+	}
+	mo.m[key] = pred
+}
 
 // intsFingerprint renders the primed integers canonically (sorted) so
 // map iteration order cannot split the memo.
@@ -371,7 +401,7 @@ func intsFingerprint(ints map[string]int64) string {
 
 // NewPredictor creates a Predictor for one machine configuration.
 func NewPredictor(cfg Config) *Predictor {
-	p := &Predictor{cfg: cfg, memo: make(map[memoKey]Prediction)}
+	p := &Predictor{cfg: cfg}
 	p.pool.New = func() any { return newReplay(cfg) }
 	return p
 }
@@ -386,26 +416,17 @@ func (p *Predictor) Config() Config { return p.cfg }
 // ErrDataDependent (wrapped) when the program's timing depends on data
 // the fast tier does not model. Identical requests are memoized.
 func (p *Predictor) Predict(prog *asm.Program, iterations int64, ints map[string]int64) (Prediction, error) {
-	key := memoKey{prog: prog, iterations: iterations, ints: intsFingerprint(ints)}
-	p.mu.Lock()
-	pred, ok := p.memo[key]
-	p.mu.Unlock()
-	if ok {
+	mo, key := memoOf(prog), memoKey{pred: p, iterations: iterations, ints: intsFingerprint(ints)}
+	if pred, ok := mo.get(key); ok {
 		return pred, nil
 	}
 	r := p.pool.Get().(*replay)
 	pred, err := r.predict(prog, iterations, ints)
 	p.pool.Put(r)
-	if err != nil {
-		return pred, err
+	if err == nil {
+		mo.put(key, pred)
 	}
-	p.mu.Lock()
-	if len(p.memo) >= memoCap {
-		clear(p.memo)
-	}
-	p.memo[key] = pred
-	p.mu.Unlock()
-	return pred, nil
+	return pred, err
 }
 
 // Predict is the one-shot form of Predictor.Predict for callers without a

@@ -101,26 +101,17 @@ func (r *replay) predictInterval(prog *asm.Program, iterations int64, ints map[s
 // It returns ErrDataDependent (wrapped) when the control flow is not
 // boundedly enumerable. Identical requests are memoized.
 func (p *Predictor) PredictInterval(prog *asm.Program, iterations int64, ints map[string]int64) (Prediction, error) {
-	key := memoKey{prog: prog, iterations: iterations, ints: intsFingerprint(ints), interval: true}
-	p.mu.Lock()
-	pred, ok := p.memo[key]
-	p.mu.Unlock()
-	if ok {
+	mo, key := memoOf(prog), memoKey{pred: p, iterations: iterations, ints: intsFingerprint(ints), interval: true}
+	if pred, ok := mo.get(key); ok {
 		return pred, nil
 	}
 	r := p.pool.Get().(*replay)
 	pred, err := r.predictInterval(prog, iterations, ints)
 	p.pool.Put(r)
-	if err != nil {
-		return pred, err
+	if err == nil {
+		mo.put(key, pred)
 	}
-	p.mu.Lock()
-	if len(p.memo) >= memoCap {
-		clear(p.memo)
-	}
-	p.memo[key] = pred
-	p.mu.Unlock()
-	return pred, nil
+	return pred, err
 }
 
 // PredictInterval is the one-shot form of Predictor.PredictInterval.

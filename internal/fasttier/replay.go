@@ -751,7 +751,8 @@ func (r *replay) execVector(in isa.Instr) error {
 	if !ok {
 		return fmt.Errorf("no vector form for %s", in.Op)
 	}
-	for _, reg := range in.Sources() {
+	var regs [8]isa.Reg // decode buffer, see isa.Instr.AppendSources
+	for _, reg := range in.AppendSources(regs[:0]) {
 		if reg.Class == isa.ClassS {
 			r.waitScalar(reg)
 		}
@@ -820,7 +821,7 @@ func (r *replay) execVector(in isa.Instr) error {
 	}
 
 	var chainT int64
-	for _, reg := range in.VectorReads() {
+	for _, reg := range in.AppendVectorReads(regs[:0]) {
 		w := r.vw[reg.N]
 		if !w.valid {
 			continue

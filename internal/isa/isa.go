@@ -242,8 +242,12 @@ func (in Instr) Dst() (Reg, bool) {
 // Sources returns the registers read by the instruction, including memory
 // base registers and, for vector memory operations, the implicit VL and VS
 // registers. Order is assembly order.
-func (in Instr) Sources() []Reg {
-	var srcs []Reg
+func (in Instr) Sources() []Reg { return in.AppendSources(nil) }
+
+// AppendSources appends the registers Sources returns to dst and returns
+// the extended slice. Hot loops pass a stack buffer (an instruction reads
+// at most a handful of registers) so decoding allocates nothing.
+func (in Instr) AppendSources(dst []Reg) []Reg {
 	n := len(in.Ops)
 	for i, o := range in.Ops {
 		switch o.Kind {
@@ -256,33 +260,37 @@ func (in Instr) Sources() []Reg {
 				isDst = false
 			}
 			if !isDst {
-				srcs = append(srcs, o.Reg)
+				dst = append(dst, o.Reg)
 			}
 		case KindMem:
 			if !o.Base.IsZero() {
-				srcs = append(srcs, o.Base)
+				dst = append(dst, o.Base)
 			}
 		}
 	}
 	if in.IsVector() && in.IsMemory() {
-		srcs = append(srcs, VL(), VS())
+		dst = append(dst, VL(), VS())
 	} else if in.IsVector() {
-		srcs = append(srcs, VL())
+		dst = append(dst, VL())
 	}
-	return srcs
+	return dst
 }
 
 // VectorReads returns the vector registers read, and VectorWrite the vector
 // register written (ok=false if none). These drive chaining and the
 // register-pair chime rule.
-func (in Instr) VectorReads() []Reg {
-	var rs []Reg
-	for _, r := range in.Sources() {
+func (in Instr) VectorReads() []Reg { return in.AppendVectorReads(nil) }
+
+// AppendVectorReads appends the registers VectorReads returns to dst and
+// returns the extended slice; see AppendSources.
+func (in Instr) AppendVectorReads(dst []Reg) []Reg {
+	var buf [8]Reg
+	for _, r := range in.AppendSources(buf[:0]) {
 		if r.Class == ClassV {
-			rs = append(rs, r)
+			dst = append(dst, r)
 		}
 	}
-	return rs
+	return dst
 }
 
 // VectorWrite returns the vector register written by the instruction.

@@ -16,9 +16,9 @@ import (
 // back as an NDJSON event as its measurement completes. Whole sweeps are
 // cached — memory LRU plus the persistent disk cache — under a key that
 // includes the grid, so a repeated sweep replays its events without
-// running anything; the per-machine simulator pools and prediction memos
-// live in one shared evaluator registry so even cold sweeps reuse warm
-// machine state.
+// running anything; the simulator pool, per-machine predictors and
+// compiled programs live in one shared evaluator registry so even cold
+// sweeps reuse warm simulators and stall tables.
 
 // maxExplorePoints bounds one sweep request. 4096 points keep a single
 // request's wall time and response size sane; larger spaces should be
@@ -198,17 +198,26 @@ type ExploreStats struct {
 	Swept     int64 `json:"points_swept"`
 	Pruned    int64 `json:"points_pruned"`
 	Simulated int64 `json:"points_simulated"`
-	// Machines is the number of distinct machine descriptions with warm
-	// evaluator state (simulator pool + prediction memo).
+	// Machines is the number of distinct machine descriptions with a
+	// warm fast-tier predictor.
 	Machines int `json:"machines"`
+	// SimCreated and SimRecycled report the sweeps' shared simulator
+	// pool: CPUs built, and survivor runs that returned one for reuse.
+	// Every machine shares the pool, so SimCreated stays near the worker
+	// count however many machines are swept.
+	SimCreated  int64 `json:"sim_created"`
+	SimRecycled int64 `json:"sim_recycled"`
 }
 
 func (s *Service) exploreStats() ExploreStats {
+	created, recycled := s.explorers.SimPool()
 	return ExploreStats{
-		Sweeps:    s.exploreSweeps.Load(),
-		Swept:     s.exploreSwept.Load(),
-		Pruned:    s.explorePruned.Load(),
-		Simulated: s.exploreSimulated.Load(),
-		Machines:  s.explorers.Machines(),
+		Sweeps:      s.exploreSweeps.Load(),
+		Swept:       s.exploreSwept.Load(),
+		Pruned:      s.explorePruned.Load(),
+		Simulated:   s.exploreSimulated.Load(),
+		Machines:    s.explorers.Machines(),
+		SimCreated:  created,
+		SimRecycled: recycled,
 	}
 }

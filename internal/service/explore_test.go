@@ -198,9 +198,20 @@ func TestPromExploreFamilies(t *testing.T) {
 		"macsd_explore_points_pruned_total 1",
 		"macsd_explore_points_simulated_total 1",
 		"macsd_explore_machines",
+		"macsd_explore_sim_pool_created_total 1",
+		"macsd_explore_sim_pool_recycled_total 1",
 	} {
 		if !strings.Contains(text, family) {
 			t.Fatalf("exposition missing %q:\n%s", family, text)
+		}
+	}
+	js, err := json.Marshal(s.Metrics().Explore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"sim_created":1`, `"sim_recycled":1`} {
+		if !strings.Contains(string(js), field) {
+			t.Fatalf("explore metrics %s missing %s", js, field)
 		}
 	}
 }

@@ -165,8 +165,14 @@ func RenderProm(snap Snapshot) []byte {
 		"Grid points promoted to exact simulation.",
 		obs.Sample{Value: float64(snap.Explore.Simulated)})
 	w.Gauge("macsd_explore_machines",
-		"Distinct machine descriptions with warm evaluator state.",
+		"Distinct machine descriptions with a warm fast-tier predictor.",
 		obs.Sample{Value: float64(snap.Explore.Machines)})
+	w.Counter("macsd_explore_sim_pool_created_total",
+		"Simulator CPUs built by the sweeps' shared pool.",
+		obs.Sample{Value: float64(snap.Explore.SimCreated)})
+	w.Counter("macsd_explore_sim_pool_recycled_total",
+		"Survivor simulations that returned a CPU to the sweeps' shared pool.",
+		obs.Sample{Value: float64(snap.Explore.SimRecycled)})
 
 	if !snap.Runtime.SampledAt.IsZero() {
 		rt := snap.Runtime

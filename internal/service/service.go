@@ -219,8 +219,8 @@ type Service struct {
 	// by auto-tier requests, so Close drains them.
 	verifyWG sync.WaitGroup
 
-	// explorers is the shared per-machine evaluator registry behind
-	// /v1/explore: simulator pools and fast-tier prediction memos keyed by
+	// explorers is the shared evaluator registry behind /v1/explore: one
+	// retargetable simulator pool and fast-tier predictors keyed by
 	// canonical machine fingerprint, kept warm across sweep requests.
 	explorers *explore.Evaluators
 	// explore sweep economics: grid points scored, answered analytically,
@@ -294,8 +294,8 @@ func New(cfg Config) *Service {
 // configFingerprint hashes everything that determines a cached result's
 // meaning: the persistent-cache schema version and the pipeline
 // configuration. The machine half goes in through the canonical
-// vm.Machine fingerprint — the same keying scheme the prediction memo
-// and the explore engine use — and the run-bound remainder of the VM
+// vm.Machine fingerprint — the same keying scheme the explore engine's
+// predictor registry uses — and the run-bound remainder of the VM
 // config rides alongside. Segments written under a different fingerprint
 // are dropped on open, so stale schemas and stale machine models
 // self-invalidate.

@@ -62,8 +62,11 @@ type CPU struct {
 	// stallTab memoizes vector-stream stall queries across streams and —
 	// because Reset keeps it — across pooled runs. Nil when the config
 	// models neither bank conflicts nor refresh, or when NaiveMemPath
-	// keeps the reference walk in charge.
-	stallTab *mem.StallTable
+	// keeps the reference walk in charge. stallTabs holds the tables of
+	// every memory geometry this CPU has been retargeted to, so a pooled
+	// CPU moving between machines keeps each one warm.
+	stallTab  *mem.StallTable
+	stallTabs map[mem.Config]*mem.StallTable
 	// vscratch is the vector ALU staging buffer (results are computed here
 	// before being copied to the destination register, so aliased operands
 	// read consistent values without a per-instruction allocation).
@@ -79,6 +82,11 @@ type CPU struct {
 	prevGateSplit bool
 }
 
+// stallTabCap bounds the stall tables one CPU keeps; on overflow they are
+// dropped wholesale (a table refills in a few queries, bookkeeping does
+// not pay).
+const stallTabCap = 64
+
 // New creates a CPU with the given configuration.
 func New(cfg Config) *CPU {
 	c := &CPU{
@@ -86,20 +94,64 @@ func New(cfg Config) *CPU {
 		mem:     mem.New(cfg.MemSize),
 		builder: core.NewChimeBuilder(cfg.Rules),
 		vs:      isa.WordBytes,
-		vl:      cfg.VLMax,
 	}
-	for i := range c.v {
-		c.v[i] = make([]float64, cfg.VLMax)
-	}
-	c.vscratch = make([]float64, cfg.VLMax)
-	c.bankCfg = cfg.BankConfig()
-	if (cfg.BankConflicts || cfg.RefreshStalls) && !cfg.NaiveMemPath {
-		c.stallTab = mem.NewStallTable(c.bankCfg)
-	}
+	c.fitMachine()
 	if !cfg.Trace && cfg.TraceRing > 0 {
 		c.ring = newTraceRing(cfg.TraceRing)
 	}
 	return c
+}
+
+// retarget points a reset CPU at another machine under the same run
+// configuration. The memory image, the trace ring and the scratch
+// buffers' capacity are kept; everything derived from the machine — the
+// chime rules, the vector register length, the bank geometry and its
+// stall table — is swapped. A retargeted CPU runs bit-identically to
+// New(cfg.WithMachine(m)), which is what lets one pool serve every point
+// of a design-space sweep.
+func (c *CPU) retarget(m Machine) {
+	if m == c.cfg.Machine {
+		return
+	}
+	if m.Rules != c.cfg.Rules {
+		c.builder = core.NewChimeBuilder(m.Rules)
+	}
+	c.cfg.Machine = m
+	c.fitMachine()
+}
+
+// fitMachine sizes the vector registers to the machine's VLMax and
+// selects the stall table for its memory geometry.
+func (c *CPU) fitMachine() {
+	n := c.cfg.VLMax
+	for i := range c.v {
+		c.v[i] = zeroed(c.v[i], n)
+	}
+	c.vscratch = zeroed(c.vscratch, n)
+	c.vl = n
+	c.bankCfg = c.cfg.BankConfig()
+	c.stallTab = nil
+	if (c.cfg.BankConflicts || c.cfg.RefreshStalls) && !c.cfg.NaiveMemPath {
+		c.stallTab = c.stallTabs[c.bankCfg]
+		if c.stallTab == nil {
+			if c.stallTabs == nil || len(c.stallTabs) >= stallTabCap {
+				c.stallTabs = make(map[mem.Config]*mem.StallTable)
+			}
+			c.stallTab = mem.NewStallTable(c.bankCfg)
+			c.stallTabs[c.bankCfg] = c.stallTab
+		}
+	}
+}
+
+// zeroed returns an all-zero slice of length n, reusing s's storage when
+// it is large enough.
+func zeroed(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Reset returns the CPU to its freshly-created state without reallocating

@@ -14,9 +14,9 @@ import (
 // a particular run is driven (memory image size, instruction budgets,
 // tracing — those stay in Config). Splitting the two is what makes
 // design-space exploration cheap: a sweep varies Machines while sharing
-// one compiled program and one run configuration, and every per-machine
-// cache (the prediction memo, the stream-stall table, the persistent
-// result cache) keys off Fingerprint.
+// one compiled program and one run configuration, and the per-machine
+// caches (the explore engine's fast-tier predictors, the persistent
+// result cache) key off Fingerprint.
 //
 // The zero value is not a useful machine; use DefaultMachine and adjust.
 // Machine is comparable, so it can key maps directly when a hash is not

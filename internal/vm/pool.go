@@ -6,15 +6,17 @@ import (
 	"sync/atomic"
 )
 
-// Pool recycles CPUs of one configuration. A fresh CPU carries a
+// Pool recycles CPUs of one run configuration. A fresh CPU carries a
 // multi-megabyte memory image and per-register vector buffers; under a
 // busy service every cache-miss analysis was paying that allocation. A
 // pooled CPU instead pays a Reset proportional to what the previous run
-// wrote, and keeps its memoized stream-stall table warm across runs.
+// wrote, and keeps its memoized stream-stall tables warm across runs.
 //
-// Get returns a CPU ready to Load; Put resets it and makes it available
-// again. The pool is safe for concurrent use; each CPU must still be used
-// by one goroutine at a time.
+// Get returns a CPU at the pool's own machine, ready to Load; GetFor
+// returns one pointed at any other machine, so a design-space sweep
+// needs one pool, not one per machine. Put resets a CPU and makes it
+// available again. The pool is safe for concurrent use; each CPU must
+// still be used by one goroutine at a time.
 type Pool struct {
 	cfg    Config
 	p      sync.Pool
@@ -27,9 +29,8 @@ type Pool struct {
 // and a busy analyzer's GCs come often (each fresh CPU is a 16 MiB
 // allocation), so without a strong hold the pool of a steady request
 // stream keeps losing its CPUs and rebuilding them. The bound is global,
-// not per pool, because the explorer makes one pool per machine it
-// simulates: per-pool holds would pin a memory image for every machine
-// ever swept.
+// not per pool, so the memory images pinned stay bounded however many
+// pools a process creates.
 const keepIdle = 2
 
 // kept holds the most recently returned idle CPUs, oldest first. A Put
@@ -58,22 +59,32 @@ func NewPool(cfg Config) *Pool {
 // Config returns the pool's CPU configuration.
 func (p *Pool) Config() Config { return p.cfg }
 
-// Get returns a reset CPU, creating one if the pool is empty.
-func (p *Pool) Get() *CPU {
-	if c := p.takeKept(); c != nil {
-		return c
-	}
-	c, ok := p.p.Get().(*CPU)
-	if !ok {
-		// Unreachable: the pool only ever holds *CPU. Fail safe with a
-		// fresh simulator rather than panicking in a serving path.
-		return New(p.cfg)
+// Get returns a reset CPU at the pool's own machine, creating one if the
+// pool is empty. A CPU another caller retargeted with GetFor is pointed
+// back first.
+func (p *Pool) Get() *CPU { return p.GetFor(p.cfg.Machine) }
+
+// GetFor returns a reset CPU simulating machine m under the pool's run
+// configuration: it runs exactly as a fresh New(p.Config().WithMachine(m))
+// would. A recycled CPU is retargeted — its memory image kept, only its
+// machine-derived state swapped — rather than rebuilt.
+func (p *Pool) GetFor(m Machine) *CPU {
+	c := p.takeKept()
+	if c == nil {
+		var ok bool
+		c, ok = p.p.Get().(*CPU)
+		if !ok {
+			// Unreachable: the pool only ever holds *CPU. Fail safe with
+			// a fresh simulator rather than panicking in a serving path.
+			return New(p.cfg.WithMachine(m))
+		}
 	}
 	if c.prog != nil || c.halted {
 		// Defensive: a CPU returned without Reset (Put always resets, so
 		// only a foreign Put could cause this).
 		c.Reset()
 	}
+	c.retarget(m)
 	return c
 }
 

@@ -240,3 +240,35 @@ func TestPoolKeepBounded(t *testing.T) {
 		t.Fatal("a pool was handed another pool's CPU")
 	}
 }
+
+// TestPoolGetAfterGetFor checks that a CPU retargeted by GetFor and put
+// back is pointed at the pool's own machine again by the next Get, and
+// runs exactly as a fresh CPU of the pool's configuration.
+func TestPoolGetAfterGetFor(t *testing.T) {
+	cfg := DefaultConfig()
+	want := runOn(t, New(cfg), poolTestSrc)
+	other := cfg.Machine
+	other.VLMax = 32
+	other.Banks = 16
+	other.Rules.Chaining = false
+
+	pool := NewPool(cfg)
+	c := pool.GetFor(other)
+	if c.cfg.Machine != other || len(c.v[0]) != other.VLMax {
+		t.Fatalf("GetFor: CPU at VLMax %d (%d-element registers), want %d", c.cfg.VLMax, len(c.v[0]), other.VLMax)
+	}
+	runOn(t, c, poolTestSrc)
+	pool.Put(c)
+
+	c = pool.Get()
+	if c.cfg != cfg {
+		t.Fatalf("Get after GetFor: CPU config %+v, want the pool's %+v", c.cfg, cfg)
+	}
+	if got := runOn(t, c, poolTestSrc); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Get after GetFor: stats diverge from a fresh CPU:\ngot  %+v\nwant %+v", got, want)
+	}
+	pool.Put(c)
+	if created, _ := pool.Stats(); created != 1 {
+		t.Fatalf("pool created %d CPUs, want 1", created)
+	}
+}

@@ -53,7 +53,10 @@ func (c *CPU) execVector(in isa.Instr) error {
 		return fmt.Errorf("no vector form for %s", in.Op)
 	}
 	// Vector instructions reading vector-produced scalars wait for them.
-	for _, r := range in.Sources() {
+	// regs is a stack buffer for the decoded operands (see
+	// isa.Instr.AppendSources).
+	var regs [8]isa.Reg
+	for _, r := range in.AppendSources(regs[:0]) {
 		if r.Class == isa.ClassS {
 			c.waitScalar(r)
 		}
@@ -128,7 +131,7 @@ func (c *CPU) execVector(in isa.Instr) error {
 
 	// Data dependences on vector registers.
 	var chainT int64
-	for _, r := range in.VectorReads() {
+	for _, r := range in.AppendVectorReads(regs[:0]) {
 		w := c.vw[r.N]
 		if !w.valid {
 			continue
