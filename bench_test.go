@@ -377,6 +377,24 @@ func BenchmarkFastTierCold(b *testing.B) {
 	}
 }
 
+// BenchmarkBoundSourceCold measures the front end a never-seen kernel
+// pays before any simulation: parse, compile, verify, the MA/MAC/MACS
+// bounds and the dependence critical path (macs.BoundSource), per LFK.
+// Nothing is cached between iterations.
+func BenchmarkBoundSourceCold(b *testing.B) {
+	for _, k := range lfk.All() {
+		k := k
+		b.Run(fmt.Sprintf("lfk%d", k.ID), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := macs.BoundSource(k.Source); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAnalyzeSourceVM measures the service's cold path — compile,
 // bound, simulate — one-shot (fresh simulator per call) and pooled
 // (Analyzer), on LFK1 source.

@@ -52,9 +52,14 @@ func Compile(prog *ftn.Program, opts Options) (*asm.Program, error) {
 		return nil, fmt.Errorf("codegen: bad VL %d", opts.VL)
 	}
 	g := &gen{
-		prog:      prog,
-		opts:      opts,
-		out:       &asm.Program{},
+		prog: prog,
+		opts: opts,
+		// Kernels compile to a few dozen instructions and carry a data
+		// symbol per declaration plus a few constants and temporaries.
+		out: &asm.Program{
+			Instrs: make([]isa.Instr, 0, 64),
+			Data:   make([]asm.DataDef, 0, len(prog.Decls)+4),
+		},
 		ftnLabels: make(map[int]string),
 		interned:  make(map[string]string),
 	}

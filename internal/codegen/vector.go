@@ -12,16 +12,26 @@ import (
 // register: same element stride and same loop-invariant base expression.
 type streamGroup struct {
 	strideElems int64
-	baseKey     string
 	base        ftn.Expr
 	reg         isa.Reg
+}
+
+// groupKey identifies a stream group: element stride and the base
+// expression's printed form.
+type groupKey struct {
+	stride int64
+	base   string
+}
+
+func groupOf(aff vectorize.Affine) groupKey {
+	return groupKey{stride: aff.Stride, base: aff.BaseKey()}
 }
 
 // vloop carries the state of one vector-loop emission.
 type vloop struct {
 	g      *gen
 	res    *vectorize.Result
-	groups map[string]*streamGroup
+	groups map[groupKey]*streamGroup
 	order  []*vectorize.Node // emission order of vector-producing nodes
 	// uses counts remaining consumers of each vector node; lastUse is the
 	// position of the final consumer.
@@ -52,7 +62,7 @@ func (g *gen) emitVectorLoop(res *vectorize.Result) error {
 	v := &vloop{
 		g:        g,
 		res:      res,
-		groups:   make(map[string]*streamGroup),
+		groups:   make(map[groupKey]*streamGroup),
 		uses:     make(map[int]int),
 		lastUse:  make(map[int]int),
 		pos:      make(map[int]int),
@@ -96,14 +106,13 @@ func (v *vloop) plan() error {
 	for _, n := range res.Nodes {
 		switch {
 		case n.Kind == vectorize.NLoad || n.Kind == vectorize.NStore:
-			key := fmt.Sprintf("%d|%s", n.Aff.Stride, n.Aff.BaseKey())
+			key := groupOf(n.Aff)
 			if _, ok := v.groups[key]; !ok {
 				if len(v.groups) == len(groupRegs) {
 					return fmt.Errorf("codegen: too many distinct memory stream groups (max %d)", len(groupRegs))
 				}
 				v.groups[key] = &streamGroup{
 					strideElems: n.Aff.Stride,
-					baseKey:     n.Aff.BaseKey(),
 					base:        n.Aff.Base,
 					reg:         groupRegs[len(v.groups)],
 				}
@@ -451,8 +460,7 @@ func (v *vloop) scalarOperand(n *vectorize.Node) (isa.Operand, error) {
 
 // memOperand builds the memory operand of a load/store node.
 func (v *vloop) memOperand(n *vectorize.Node) isa.Operand {
-	key := fmt.Sprintf("%d|%s", n.Aff.Stride, n.Aff.BaseKey())
-	grp := v.groups[key]
+	grp := v.groups[groupOf(n.Aff)]
 	return isa.MemOp(SymName(n.Array), 8*n.Aff.Const, grp.reg)
 }
 

@@ -25,12 +25,31 @@ func Compile(src string, opts Options) (*asm.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return codegen.Compile(prog, opts)
+	return CompileProgram(prog, opts)
 }
 
-// CompileProgram lowers an already-parsed program.
+// CompileProgram lowers an already-parsed program. The compiled program
+// records the tree it was lowered from (see SourceOf); code generation
+// only reads it, so several compiles may share one tree.
 func CompileProgram(p *ftn.Program, opts Options) (*asm.Program, error) {
-	return codegen.Compile(p, opts)
+	prog, err := codegen.Compile(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	prog.Derived(sourceKey{}, func() any { return p })
+	return prog, nil
+}
+
+// sourceKey is the asm.Program.Derived key of a compiled program's
+// parsed source.
+type sourceKey struct{}
+
+// SourceOf returns the parsed program prog was compiled from, when prog
+// came from Compile or CompileProgram. Copies (asm.Program.Clone) and
+// programs parsed from assembly carry none.
+func SourceOf(prog *asm.Program) (*ftn.Program, bool) {
+	p, _ := prog.Derived(sourceKey{}, func() any { return (*ftn.Program)(nil) }).(*ftn.Program)
+	return p, p != nil
 }
 
 // InnerLoop returns the deepest-nested DO loop of a program — the loop

@@ -100,28 +100,40 @@ func refreshPenalty(chimes []Chime, costs []float64) float64 {
 // StripMemOps returns a copy of the body with all vector memory access
 // operations deleted: the input to the t_MACS^f (execute-only) bound.
 func StripMemOps(body []isa.Instr) []isa.Instr {
-	var out []isa.Instr
-	for _, in := range body {
-		if in.IsVector() && in.IsMemory() {
-			continue
-		}
-		out = append(out, in)
-	}
-	return out
+	return keepInstrs(body, func(in isa.Instr) bool { return !(in.IsVector() && in.IsMemory()) })
 }
 
 // StripFPOps returns a copy of the body with all vector floating point
 // operations deleted: the input to the t_MACS^m (access-only) bound.
 func StripFPOps(body []isa.Instr) []isa.Instr {
-	var out []isa.Instr
-	for _, in := range body {
+	return keepInstrs(body, func(in isa.Instr) bool {
 		if in.IsVector() {
 			switch in.Class() {
 			case isa.ClassFPAdd, isa.ClassFPMul:
-				continue
+				return false
 			}
 		}
-		out = append(out, in)
+		return true
+	})
+}
+
+// keepInstrs returns the instructions of body that keep accepts, in
+// order, in a slice allocated once at its final size (nil when none).
+func keepInstrs(body []isa.Instr, keep func(isa.Instr) bool) []isa.Instr {
+	n := 0
+	for _, in := range body {
+		if keep(in) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]isa.Instr, 0, n)
+	for _, in := range body {
+		if keep(in) {
+			out = append(out, in)
+		}
 	}
 	return out
 }

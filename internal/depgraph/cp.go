@@ -158,11 +158,10 @@ func asuCost(in isa.Instr, p Params) int64 {
 }
 
 // longestFrom computes, over the timing-relevant non-carried edges, the
-// longest weighted path from src to every node (negative = unreachable).
-// Non-carried edges point forward, so one sweep in index order relaxes
-// every path.
-func longestFrom(g *Graph, adj [][]int, src, vl int, p Params) []int64 {
-	dist := make([]int64, len(g.Body))
+// longest weighted path from src to every node (negative = unreachable)
+// into dist, which has one entry per body instruction. Non-carried edges
+// point forward, so one sweep in index order relaxes every path.
+func longestFrom(dist []int64, g *Graph, adj [][]int, src, vl int, p Params) {
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -182,12 +181,26 @@ func longestFrom(g *Graph, adj [][]int, src, vl int, p Params) []int64 {
 			}
 		}
 	}
-	return dist
 }
 
-// adjacency indexes non-carried edges by From.
+// adjacency indexes non-carried edges by From. Every list is a window of
+// one backing array.
 func adjacency(g *Graph) [][]int {
 	adj := make([][]int, len(g.Body))
+	counts := make([]int, len(g.Body))
+	total := 0
+	for _, e := range g.Edges {
+		if !e.Carried {
+			counts[e.From]++
+			total++
+		}
+	}
+	backing := make([]int, total)
+	off := 0
+	for i, c := range counts {
+		adj[i] = backing[off : off : off+c]
+		off += c
+	}
 	for ei, e := range g.Edges {
 		if !e.Carried {
 			adj[e.From] = append(adj[e.From], ei)
@@ -268,7 +281,11 @@ func CriticalPath(g *Graph, vl int, p Params, straight bool) CP {
 	// iteration's v starts at least w after this iteration's u, and u
 	// depends on v through the in-iteration path v => u; the cycle length
 	// bounds the initiation interval.
-	fromCache := map[int][]int64{}
+	//
+	// Build emits carried edges grouped by head (To), so one distance
+	// buffer recomputed per head serves every edge.
+	var dist []int64
+	distFrom := -1
 	for _, e := range g.Edges {
 		if !e.Carried {
 			continue
@@ -281,10 +298,12 @@ func CriticalPath(g *Graph, vl int, p Params, straight bool) CP {
 		if e.To == e.From {
 			cyc = w
 		} else {
-			dist, okc := fromCache[e.To]
-			if !okc {
-				dist = longestFrom(g, adj, e.To, 1, p)
-				fromCache[e.To] = dist
+			if dist == nil {
+				dist = make([]int64, n)
+			}
+			if distFrom != e.To {
+				longestFrom(dist, g, adj, e.To, 1, p)
+				distFrom = e.To
 			}
 			if dist[e.From] < 0 {
 				continue // no in-iteration path back: no cycle

@@ -62,14 +62,14 @@ type Edge struct {
 	// iteration after its From.
 	From, To int
 	Kind     EdgeKind
-	// Carried marks a dependence across the loop back branch.
-	Carried bool
 	// Reg is the register carrying the dependence (zero value for the
 	// scalar T flag and for memory-symbol edges).
 	Reg isa.Reg
 	// Res names the depended-on resource for display: a register, "T",
 	// or a data symbol.
 	Res string
+	// Carried marks a dependence across the loop back branch.
+	Carried bool
 	// Mem marks a memory-symbol dependence (store/load on the same
 	// .data symbol).
 	Mem bool
@@ -92,15 +92,17 @@ type Graph struct {
 	Edges []Edge
 }
 
-// Register slots for dependence tracking: a, s and v registers, VL, VS,
-// and the scalar comparison flag T (set by compares, read by jbrs).
+// Register slots for dependence tracking: a and s registers, VL and VS
+// (the slots the interval analysis tracks, numbered first), then v
+// registers and the scalar comparison flag T (set by compares, read by
+// jbrs).
 const (
 	gSlotA  = 0
 	gSlotS  = gSlotA + isa.NumARegs
-	gSlotV  = gSlotS + isa.NumSRegs
-	gSlotVL = gSlotV + isa.NumVRegs
+	gSlotVL = gSlotS + isa.NumSRegs
 	gSlotVS = gSlotVL + 1
-	gSlotT  = gSlotVS + 1
+	gSlotV  = gSlotVS + 1
+	gSlotT  = gSlotV + isa.NumVRegs
 	numG    = gSlotT + 1
 )
 
@@ -126,20 +128,31 @@ func gSlot(r isa.Reg) int {
 	return -1
 }
 
+// gSlotNames holds every slot's display name, so building a graph never
+// formats one.
+var gSlotNames = func() (names [numG]string) {
+	for s := range names {
+		switch {
+		case s >= gSlotA && s < gSlotS:
+			names[s] = fmt.Sprintf("a%d", s-gSlotA)
+		case s >= gSlotS && s < gSlotVL:
+			names[s] = fmt.Sprintf("s%d", s-gSlotS)
+		case s >= gSlotV && s < gSlotT:
+			names[s] = fmt.Sprintf("v%d", s-gSlotV)
+		case s == gSlotVL:
+			names[s] = "vl"
+		case s == gSlotVS:
+			names[s] = "vs"
+		case s == gSlotT:
+			names[s] = "T"
+		}
+	}
+	return names
+}()
+
 func gSlotName(s int) string {
-	switch {
-	case s >= gSlotA && s < gSlotS:
-		return fmt.Sprintf("a%d", s-gSlotA)
-	case s >= gSlotS && s < gSlotV:
-		return fmt.Sprintf("s%d", s-gSlotS)
-	case s >= gSlotV && s < gSlotVL:
-		return fmt.Sprintf("v%d", s-gSlotV)
-	case s == gSlotVL:
-		return "vl"
-	case s == gSlotVS:
-		return "vs"
-	case s == gSlotT:
-		return "T"
+	if s >= 0 && s < numG {
+		return gSlotNames[s]
 	}
 	return fmt.Sprintf("slot%d", s)
 }
@@ -148,9 +161,9 @@ func gSlotReg(s int) isa.Reg {
 	switch {
 	case s >= gSlotA && s < gSlotS:
 		return isa.Reg{Class: isa.ClassA, N: s - gSlotA}
-	case s >= gSlotS && s < gSlotV:
+	case s >= gSlotS && s < gSlotVL:
 		return isa.Reg{Class: isa.ClassS, N: s - gSlotS}
-	case s >= gSlotV && s < gSlotVL:
+	case s >= gSlotV && s < gSlotT:
 		return isa.Reg{Class: isa.ClassV, N: s - gSlotV}
 	case s == gSlotVL:
 		return isa.VL()
@@ -160,12 +173,18 @@ func gSlotReg(s int) isa.Reg {
 	return isa.Reg{} // T and memory edges carry the zero register
 }
 
-// useSlots returns the register slots an instruction reads: its explicit
-// and implicit sources, the destination of a two-operand ALU form (which
-// reads its destination), and the T flag for conditional branches.
-func useSlots(in isa.Instr) []int {
-	var out []int
-	for _, r := range in.Sources() {
+// maxSlots sizes the stack buffer callers decode useSlots and defSlots
+// into; it covers every compiled instruction, and a longer list still
+// decodes correctly, on the heap.
+const maxSlots = 12
+
+// useSlots appends the register slots an instruction reads to out: its
+// explicit and implicit sources, the destination of a two-operand ALU
+// form (which reads its destination), and the T flag for conditional
+// branches.
+func useSlots(out []int, in isa.Instr) []int {
+	var regs [8]isa.Reg
+	for _, r := range in.AppendSources(regs[:0]) {
 		if s := gSlot(r); s >= 0 {
 			out = append(out, s)
 		}
@@ -183,10 +202,9 @@ func useSlots(in isa.Instr) []int {
 	return out
 }
 
-// defSlots returns the register slots an instruction writes: its
+// defSlots appends the register slots an instruction writes to out: its
 // destination, and the T flag for compares.
-func defSlots(in isa.Instr) []int {
-	var out []int
+func defSlots(out []int, in isa.Instr) []int {
 	if d, ok := in.Dst(); ok {
 		if s := gSlot(d); s >= 0 {
 			out = append(out, s)
@@ -239,7 +257,9 @@ func memSym(in isa.Instr) (sym string, ok bool) {
 // loop-carried edges (stopping per resource at its first redefinition).
 // Memory dependences are tracked at data-symbol granularity.
 func Build(body []isa.Instr) *Graph {
-	g := &Graph{Body: body}
+	// Loop bodies carry four to seven edges per instruction.
+	g := &Graph{Body: body, Edges: make([]Edge, 0, 8*len(body))}
+	var slots [maxSlots]int
 
 	lastDef := make([]int, numG)
 	for i := range lastDef {
@@ -261,7 +281,7 @@ func Build(body []isa.Instr) *Graph {
 
 	// Pass 1: intra-iteration edges.
 	for i, in := range body {
-		for _, u := range useSlots(in) {
+		for _, u := range useSlots(slots[:0], in) {
 			if d := lastDef[u]; d >= 0 {
 				emit(d, i, EdgeTrue, u, "", false)
 			}
@@ -286,7 +306,7 @@ func Build(body []isa.Instr) *Graph {
 				loads[sym] = append(loads[sym], i)
 			}
 		}
-		for _, d := range defSlots(in) {
+		for _, d := range defSlots(slots[:0], in) {
 			for _, r := range reads[d] {
 				if r != i {
 					emit(r, i, EdgeAnti, d, "", false)
@@ -306,7 +326,7 @@ func Build(body []isa.Instr) *Graph {
 	dead := make([]bool, numG)
 	deadSym := map[string]bool{}
 	for i, in := range body {
-		for _, u := range useSlots(in) {
+		for _, u := range useSlots(slots[:0], in) {
 			if dead[u] {
 				continue
 			}
@@ -327,7 +347,7 @@ func Build(body []isa.Instr) *Graph {
 				emit(d, i, EdgeTrue, 0, sym, true)
 			}
 		}
-		for _, d := range defSlots(in) {
+		for _, d := range defSlots(slots[:0], in) {
 			if dead[d] {
 				continue
 			}

@@ -213,25 +213,29 @@ func clamp64(v, lo, hi int64) int64 {
 	return v
 }
 
+// ivSlots is the number of register slots the interval analysis tracks:
+// the a and s registers, VL and VS (gSlot numbers them first).
+const ivSlots = gSlotV
+
 // Env is the abstract state at one program point: one interval per
 // scalar register slot (a, s, vl, vs). Vector registers and the T flag
 // carry no interval.
 type Env struct {
-	regs [gSlotT]Interval // a, s, v (unused), vl, vs
+	regs [ivSlots]Interval
 	live bool
 }
 
 // Reg returns the interval of one register (top for vector registers).
 func (e *Env) Reg(r isa.Reg) Interval {
 	s := gSlot(r)
-	if s < 0 || s >= gSlotT || r.Class == isa.ClassV {
+	if s < 0 || s >= ivSlots {
 		return Top()
 	}
 	return e.regs[s]
 }
 
 func (e *Env) set(s int, iv Interval) {
-	if s >= 0 && s < gSlotT {
+	if s >= 0 && s < ivSlots {
 		e.regs[s] = iv
 	}
 }
@@ -274,19 +278,47 @@ func (e *Env) widen(src *Env) (changed bool) {
 	return changed
 }
 
-// IntervalResult carries the converged per-instruction entry states.
+// IntervalResult carries the converged abstract states of a program. It
+// keeps the state before the first instruction of every reachable block,
+// before every memory instruction (the points the verifier and
+// StreamFacts query), and at least every keepEvery instructions of a
+// long block; Reg answers any other point by stepping forward from the
+// nearest kept state of its block, so no query costs more than
+// keepEvery transfer steps. It reads the program's instructions, which
+// must not change afterwards, and is otherwise read-only once built:
+// concurrent Reg calls are safe.
 type IntervalResult struct {
-	// Pre[i] is the abstract state before instruction i; Pre[i].live is
-	// false for statically unreachable instructions.
-	Pre []Env
+	instrs []isa.Instr
+	// near[i] indexes kept with the state nearest before instruction i
+	// in its block; -1 marks a statically unreachable instruction.
+	near []int32
+	kept []keptEnv
 }
+
+// keptEnv is the converged state before instruction at.
+type keptEnv struct {
+	at  int
+	env Env
+}
+
+// keepEvery bounds the distance Reg steps from a kept state.
+const keepEvery = 16
 
 // Reg returns the interval of a register before instruction idx.
 func (r *IntervalResult) Reg(idx int, reg isa.Reg) Interval {
-	if r == nil || idx < 0 || idx >= len(r.Pre) || !r.Pre[idx].live {
+	if r == nil || idx < 0 || idx >= len(r.near) || r.near[idx] < 0 {
 		return Top()
 	}
-	return r.Pre[idx].Reg(reg)
+	k := &r.kept[r.near[idx]]
+	if k.at == idx {
+		return k.env.Reg(reg)
+	}
+	st := k.env
+	var cmp cmpFact
+	for i := k.at; i < idx; i++ {
+		stepInterval(&st, r.instrs[i], &cmp)
+	}
+	return st.Reg(reg)
 }
 
 // widenAfter is the number of times a block's entry state may grow by
@@ -314,7 +346,7 @@ type cmpFact struct {
 // machine, and compare-plus-branch pairs refining ranges on both edges.
 // Loads and floating-point results are unconstrained.
 func Intervals(p *asm.Program) *IntervalResult {
-	res := &IntervalResult{Pre: make([]Env, len(p.Instrs))}
+	res := &IntervalResult{instrs: p.Instrs, near: make([]int32, len(p.Instrs))}
 	if len(p.Instrs) == 0 {
 		return res
 	}
@@ -329,26 +361,29 @@ func Intervals(p *asm.Program) *IntervalResult {
 	}
 	in[entry] = e0
 
-	flow := func(bi int, record bool) (outs []Env, targets []int) {
+	// flow runs one block from its entry state and leaves the states on
+	// its out-edges in outs, their target blocks in targets; both
+	// buffers are reused across calls.
+	var outs []Env
+	var targets []int
+	flow := func(bi int) {
+		outs, targets = outs[:0], targets[:0]
 		st := in[bi]
 		var cmp cmpFact
-		b := blocks[bi]
+		b := &blocks[bi]
 		for i := b.start; i < b.end; i++ {
-			if record {
-				res.Pre[i] = st
-			}
 			stepInterval(&st, p.Instrs[i], &cmp)
 		}
 		if b.end == b.start {
-			return nil, nil
+			return
 		}
 		last := p.Instrs[b.end-1]
-		if last.Op == isa.OpJbrs && len(b.succs) > 0 && cmp.valid {
+		if last.Op == isa.OpJbrs && b.nsucc > 0 && cmp.valid {
 			// succs = [target, fallthrough?]: refine per edge. The taken
 			// edge asserts the compare (inverted for .f), the
 			// fallthrough edge its negation.
 			takenTrue := last.Suffix != isa.SufF
-			for si, succ := range b.succs {
+			for si, succ := range b.succs() {
 				ref := st
 				assert := takenTrue
 				if si == 1 {
@@ -360,13 +395,12 @@ func Intervals(p *asm.Program) *IntervalResult {
 					targets = append(targets, succ)
 				}
 			}
-			return outs, targets
+			return
 		}
-		for _, succ := range b.succs {
+		for _, succ := range b.succs() {
 			outs = append(outs, st)
 			targets = append(targets, succ)
 		}
-		return outs, targets
 	}
 
 	work := []int{entry}
@@ -376,7 +410,7 @@ func Intervals(p *asm.Program) *IntervalResult {
 		bi := work[0]
 		work = work[1:]
 		queued[bi] = false
-		outs, targets := flow(bi, false)
+		flow(bi)
 		for i, succ := range targets {
 			var changed bool
 			if joins[succ] >= widenAfter {
@@ -397,27 +431,62 @@ func Intervals(p *asm.Program) *IntervalResult {
 	// post-fixpoint a few times with plain joins, recovering bounds the
 	// widening discarded (e.g. a counter's loop-exit limit). Starting
 	// above the least fixpoint keeps every round sound.
+	next := make([]Env, len(blocks))
 	for round := 0; round < narrowRounds; round++ {
-		next := make([]Env, len(blocks))
+		clear(next)
 		next[entry].join(&e0)
 		for bi := range blocks {
 			if !in[bi].live {
 				continue
 			}
-			outs, targets := flow(bi, false)
+			flow(bi)
 			for i, succ := range targets {
 				next[succ].join(&outs[i])
 			}
 		}
-		in = next
+		in, next = next, in
 	}
-	// Recording pass over the converged states.
-	for bi := range blocks {
-		if in[bi].live {
-			flow(bi, true)
+	res.keep(blocks, in)
+	return res
+}
+
+// keep records the converged states Reg answers from: each reachable
+// block's entry, each memory instruction, and every keepEvery-th
+// instruction between them.
+func (r *IntervalResult) keep(blocks []iblock, in []Env) {
+	n := 0
+	for bi, b := range blocks {
+		if !in[bi].live {
+			continue
+		}
+		last := b.start - keepEvery // keeps the entry state
+		for i := b.start; i < b.end; i++ {
+			if i-last >= keepEvery || r.instrs[i].IsMemory() {
+				n++
+				last = i
+			}
 		}
 	}
-	return res
+	r.kept = make([]keptEnv, 0, n)
+	for bi, b := range blocks {
+		if !in[bi].live {
+			for i := b.start; i < b.end; i++ {
+				r.near[i] = -1
+			}
+			continue
+		}
+		st := in[bi]
+		var cmp cmpFact
+		last := b.start - keepEvery
+		for i := b.start; i < b.end; i++ {
+			if i-last >= keepEvery || r.instrs[i].IsMemory() {
+				r.kept = append(r.kept, keptEnv{at: i, env: st})
+				last = i
+			}
+			r.near[i] = int32(len(r.kept) - 1)
+			stepInterval(&st, r.instrs[i], &cmp)
+		}
+	}
 }
 
 // stepInterval applies one instruction to the abstract state.
@@ -431,7 +500,7 @@ func stepInterval(st *Env, in isa.Instr, cmp *cmpFact) {
 		return
 	}
 	s := gSlot(dst)
-	if s < 0 || s >= gSlotT || dst.Class == isa.ClassV {
+	if s < 0 || s >= ivSlots {
 		return
 	}
 	if cmp.valid && s == cmp.slot {
@@ -530,7 +599,7 @@ func compareFact(st *Env, in isa.Instr) cmpFact {
 	}
 	slotOf := func(o isa.Operand) int {
 		if o.Kind == isa.KindReg && o.Reg.Class != isa.ClassV {
-			if s := gSlot(o.Reg); s >= 0 && s < gSlotT {
+			if s := gSlot(o.Reg); s >= 0 && s < ivSlots {
 				return s
 			}
 		}
@@ -632,9 +701,17 @@ func refine(st *Env, cmp cmpFact, assert bool) {
 // iblock is one basic block of the interval CFG.
 type iblock struct {
 	start, end int
-	// succs lists successor block indices: for a conditional branch the
-	// taken target first, then the fallthrough.
-	succs []int
+	// succ[:nsucc] lists successor block indices: for a conditional
+	// branch the taken target first, then the fallthrough.
+	succ  [2]int
+	nsucc int
+}
+
+func (b *iblock) succs() []int { return b.succ[:b.nsucc] }
+
+func (b *iblock) addSucc(s int) {
+	b.succ[b.nsucc] = s
+	b.nsucc++
 }
 
 // buildBlocks partitions a program into basic blocks (the same shape the
@@ -648,31 +725,39 @@ func buildBlocks(p *asm.Program) (blocks []iblock, entry int) {
 	leader := make([]bool, n+1)
 	leader[0] = true
 	leader[entryPC] = true
+	nblocks := 1
 	for i, in := range p.Instrs {
-		if in.IsBranch() {
+		if in.IsBranch() || in.Op == isa.OpHalt {
 			leader[i+1] = true
+		}
+		if in.IsBranch() {
 			if t, ok := labelTarget(p, in); ok && t < n {
 				leader[t] = true
 			}
 		}
-		if in.Op == isa.OpHalt {
-			leader[i+1] = true
+	}
+	for i := 1; i < n; i++ {
+		if leader[i] {
+			nblocks++
 		}
 	}
-	startOf := make(map[int]int)
+	// blockOf[i] is the block a leader instruction i starts.
+	blockOf := make([]int, n)
+	blocks = make([]iblock, 0, nblocks)
 	for i := 0; i < n; i++ {
 		if leader[i] {
-			startOf[i] = len(blocks)
+			blockOf[i] = len(blocks)
 			blocks = append(blocks, iblock{start: i})
 		}
 	}
 	for bi := range blocks {
+		b := &blocks[bi]
 		end := n
 		if bi+1 < len(blocks) {
 			end = blocks[bi+1].start
 		}
-		blocks[bi].end = end
-		if end == blocks[bi].start {
+		b.end = end
+		if end == b.start {
 			continue
 		}
 		last := p.Instrs[end-1]
@@ -680,18 +765,18 @@ func buildBlocks(p *asm.Program) (blocks []iblock, entry int) {
 		case last.Op == isa.OpHalt:
 		case last.IsBranch():
 			if t, ok := labelTarget(p, last); ok && t < n {
-				blocks[bi].succs = append(blocks[bi].succs, startOf[t])
+				b.addSucc(blockOf[t])
 			}
 			if last.Op == isa.OpJbrs && end < n {
-				blocks[bi].succs = append(blocks[bi].succs, startOf[end])
+				b.addSucc(blockOf[end])
 			}
 		default:
 			if end < n {
-				blocks[bi].succs = append(blocks[bi].succs, startOf[end])
+				b.addSucc(blockOf[end])
 			}
 		}
 	}
-	return blocks, startOf[entryPC]
+	return blocks, blockOf[entryPC]
 }
 
 func labelTarget(p *asm.Program, in isa.Instr) (int, bool) {

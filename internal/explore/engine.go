@@ -10,8 +10,10 @@ import (
 
 	"macs"
 	"macs/internal/calib"
+	"macs/internal/compiler"
 	"macs/internal/core"
 	"macs/internal/fasttier"
+	"macs/internal/ftn"
 	"macs/internal/isa"
 	"macs/internal/par"
 	"macs/internal/vm"
@@ -106,8 +108,9 @@ func (e *Evaluators) predictor(m vm.Machine) *fasttier.Predictor {
 }
 
 // program returns the compiled and verified program for one source at
-// one set of compiler options, compiling on first sight.
-func (e *Evaluators) program(src string, opts macs.CompilerOptions) (*macs.Program, error) {
+// one set of compiler options, compiling on first sight the tree parse
+// returns for src.
+func (e *Evaluators) program(src string, opts macs.CompilerOptions, parse func() (*ftn.Program, error)) (*macs.Program, error) {
 	k := progKey{src, opts}
 	e.progMu.Lock()
 	p, ok := e.progs[k]
@@ -115,7 +118,11 @@ func (e *Evaluators) program(src string, opts macs.CompilerOptions) (*macs.Progr
 	if ok {
 		return p, nil
 	}
-	prog, err := macs.Compile(src, opts)
+	parsed, err := parse()
+	if err != nil {
+		return nil, err
+	}
+	prog, err := compiler.CompileProgram(parsed, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +333,17 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 	// compile: running a VL=128 program on a VLMax=32 machine would clamp
 	// every strip to 32 elements and silently skip three quarters of the
 	// work. A grid holds at most a handful of distinct vector lengths, so
-	// compilation stays shared across every other axis.
+	// compilation stays shared across every other axis. The source is
+	// parsed at most once: every compile lowers the same tree, and the
+	// programs carry it to BoundCompiled below.
+	var parsed *ftn.Program
+	var parseErr error
+	parse := func() (*ftn.Program, error) {
+		if parsed == nil && parseErr == nil {
+			parsed, parseErr = ftn.Parse(req.Source)
+		}
+		return parsed, parseErr
+	}
 	progOf := make(map[int]*macs.Program)
 	for _, m := range e.points {
 		vl := e.effVL(m)
@@ -335,7 +352,7 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 		}
 		copts := e.opts.Compiler
 		copts.VL = vl
-		prog, err := e.evals.program(req.Source, copts)
+		prog, err := e.evals.program(req.Source, copts, parse)
 		if err != nil {
 			return nil, err
 		}

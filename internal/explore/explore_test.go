@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"macs"
+	"macs/internal/compiler"
+	"macs/internal/ftn"
 	"macs/internal/lfk"
 	"macs/internal/vm"
 )
@@ -400,5 +402,58 @@ func TestColdSweepSimulatorCount(t *testing.T) {
 	}
 	if recycled != int64(simulated) {
 		t.Fatalf("pool recycled %d CPUs, want one per survivor (%d)", recycled, simulated)
+	}
+}
+
+// TestSweepParsesOnce: a sweep over three vector lengths and two rule
+// sets parses its source once — the three compiles lower one tree, which
+// BoundCompiled then reuses — and every point's bounds are bit-equal to
+// bounding a copy of its program (a copy carries no tree, so its source
+// is parsed again).
+func TestSweepParsesOnce(t *testing.T) {
+	grid := Grid{Axes: []Axis{
+		{Param: "vlmax", Values: []float64{32, 64, 128}},
+		{Param: "chaining", Values: []float64{0, 1}},
+	}}
+	for _, k := range lfk.All() {
+		evals := NewEvaluators(vm.DefaultConfig())
+		eng, err := New(grid, Options{Workers: 2, Evaluators: evals, TopFrac: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, err := eng.Sweep(context.Background(), Request{
+			Source: k.Source, Iterations: int64(k.Elements),
+			Ints: k.DataInts(), Prime: k.PrimeFunc(),
+		})
+		if err != nil {
+			t.Fatalf("lfk%d: %v", k.ID, err)
+		}
+		if len(evals.progs) != 3 {
+			t.Fatalf("lfk%d: %d compiled programs, want one per vector length", k.ID, len(evals.progs))
+		}
+		var tree *ftn.Program
+		progOf := make(map[int]*macs.Program)
+		for key, prog := range evals.progs {
+			src, ok := compiler.SourceOf(prog)
+			if !ok {
+				t.Fatalf("lfk%d vl=%d: compiled program carries no source tree", k.ID, key.opts.VL)
+			}
+			if tree != nil && src != tree {
+				t.Fatalf("lfk%d: compiles lowered different trees: the source was parsed more than once", k.ID)
+			}
+			tree = src
+			progOf[key.opts.VL] = prog
+		}
+		for _, p := range sw.Points {
+			vl := eng.effVL(p.Machine)
+			a, err := macs.BoundCompiled(k.Source, progOf[vl].Clone(), vl, p.Machine.Rules)
+			if err != nil {
+				t.Fatalf("lfk%d: %v", k.ID, err)
+			}
+			want := Bounds{TMA: a.TMA, TMAC: a.TMAC, TMACS: a.MACS.CPL, TCP: a.TCP, Chimes: len(a.MACS.Chimes)}
+			if p.Bounds != want {
+				t.Errorf("lfk%d point %d: bounds %+v, re-parse path %+v", k.ID, p.Index, p.Bounds, want)
+			}
+		}
 	}
 }

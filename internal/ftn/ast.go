@@ -1,8 +1,8 @@
 package ftn
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
+	"unicode/utf8"
 )
 
 // BasicKind is a declared type.
@@ -120,13 +120,8 @@ type Num struct {
 	IsInt bool
 }
 
-func (Num) exprNode() {}
-func (n Num) String() string {
-	if n.IsInt {
-		return fmt.Sprintf("%d", int64(n.Val))
-	}
-	return fmt.Sprintf("%g", n.Val)
-}
+func (Num) exprNode()        {}
+func (n Num) String() string { return renderExpr(n) }
 
 // Ref is a variable or array element reference.
 type Ref struct {
@@ -139,11 +134,7 @@ func (r Ref) String() string {
 	if len(r.Indices) == 0 {
 		return r.Name
 	}
-	parts := make([]string, len(r.Indices))
-	for i, e := range r.Indices {
-		parts[i] = e.String()
-	}
-	return r.Name + "(" + strings.Join(parts, ",") + ")"
+	return renderExpr(r)
 }
 
 // Bin is a binary arithmetic expression; Op is one of + - * /.
@@ -152,16 +143,64 @@ type Bin struct {
 	L, R Expr
 }
 
-func (Bin) exprNode() {}
-func (b Bin) String() string {
-	return fmt.Sprintf("(%s %c %s)", b.L, b.Op, b.R)
-}
+func (Bin) exprNode()        {}
+func (b Bin) String() string { return renderExpr(b) }
 
 // Neg is unary minus.
 type Neg struct{ X Expr }
 
 func (Neg) exprNode()        {}
-func (n Neg) String() string { return "(-" + n.X.String() + ")" }
+func (n Neg) String() string { return renderExpr(n) }
+
+// renderExpr renders e through appendExpr, in a stack buffer when the
+// text is short.
+func renderExpr(e Expr) string {
+	var buf [64]byte
+	return string(appendExpr(buf[:0], e))
+}
+
+// appendExpr appends e's String form to dst: integer literals in
+// decimal, real literals in shortest %g form, references as NAME or
+// NAME(i,j), binary expressions as (l op r) and negations as (-x).
+func appendExpr(dst []byte, e Expr) []byte {
+	switch x := e.(type) {
+	case Num:
+		if x.IsInt {
+			return strconv.AppendInt(dst, int64(x.Val), 10)
+		}
+		return strconv.AppendFloat(dst, x.Val, 'g', -1, 64)
+	case *Ref:
+		dst = append(dst, x.Name...)
+		if len(x.Indices) == 0 {
+			return dst
+		}
+		for i, ix := range x.Indices {
+			if i == 0 {
+				dst = append(dst, '(')
+			} else {
+				dst = append(dst, ',')
+			}
+			dst = appendExpr(dst, ix)
+		}
+		return append(dst, ')')
+	case Bin:
+		dst = append(dst, '(')
+		dst = appendExpr(dst, x.L)
+		dst = append(dst, ' ')
+		dst = utf8.AppendRune(dst, rune(x.Op))
+		dst = append(dst, ' ')
+		dst = appendExpr(dst, x.R)
+		return append(dst, ')')
+	case Neg:
+		dst = append(dst, "(-"...)
+		dst = appendExpr(dst, x.X)
+		return append(dst, ')')
+	case Ref:
+		return appendExpr(dst, &x)
+	}
+	// Expr's unexported method confines it to the cases above.
+	return dst
+}
 
 // Walk visits every statement in a body, recursing into DO bodies.
 func Walk(body []Stmt, f func(Stmt)) {

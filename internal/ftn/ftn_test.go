@@ -169,6 +169,40 @@ END
 	}
 }
 
+// TestStatementNamedC checks that a statement whose first word is C is
+// not taken for a comment when it goes on with = or (: a scalar, an
+// array element, either case, with or without a blank before the
+// parenthesis. A lone C, or C followed by words, still starts a comment.
+func TestStatementNamedC(t *testing.T) {
+	for _, stmt := range []string{"C = X(K)", "c = x(k)", "C(K) = X(K)", "C (K) = X(K)", "C\t= X(K)"} {
+		decl := "REAL X(8), C"
+		if strings.Contains(stmt, "(K) =") || strings.Contains(stmt, "(k) =") {
+			decl = "REAL X(8), C(8)"
+		}
+		src := "PROGRAM P\n" + decl + "\nINTEGER K\nDO K = 1, 8\n  " + stmt + "\n  X(K) = 2.0\nENDDO\nEND\n"
+		p, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%q: %v", stmt, err)
+		}
+		do := p.Body[0].(*DoStmt)
+		if len(do.Body) != 2 {
+			t.Fatalf("%q: loop body has %d statements, want 2", stmt, len(do.Body))
+		}
+		if a, ok := do.Body[0].(*Assign); !ok || a.LHS.Name != "C" {
+			t.Fatalf("%q: first statement is %#v, want an assignment to C", stmt, do.Body[0])
+		}
+	}
+	for _, line := range []string{"C", "c", "C this is a comment", "C  X = 1", "C\tcomment (with parens)"} {
+		toks, err := Lex(line + "\nEND\n")
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		if len(toks) != 3 || toks[0].Kind != TokIdent || toks[0].Text != "END" {
+			t.Errorf("%q: not lexed as a comment: %v", line, toks)
+		}
+	}
+}
+
 func TestSemaErrors(t *testing.T) {
 	cases := []struct {
 		name string

@@ -4,44 +4,71 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Lex tokenizes Fortran-subset source. Statements are newline-separated;
-// lines starting with C, c or ! are comments; CDIR$ IVDEP becomes a
-// TokIVDep token; a leading integer on a line is a statement label.
+// lines starting with ! are comments, and so are lines whose first word
+// is a lone C or c, unless the next non-blank character is = or ( (a
+// statement assigning a variable or array named C); CDIR$ IVDEP becomes
+// a TokIVDep token; a leading integer on a line is a statement label.
 // Identifiers and keywords are case-insensitive (returned upper-cased).
 func Lex(src string) ([]Token, error) {
-	var toks []Token
-	for lineno, raw := range strings.Split(src, "\n") {
-		line := strings.TrimRight(raw, " \t\r")
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" {
-			continue
+	// Kernels take 1.5 to 2.2 source bytes per token.
+	toks := make([]Token, 0, len(src)*2/3+8)
+	for lineno := 1; src != ""; lineno++ {
+		raw := src
+		if nl := strings.IndexByte(src, '\n'); nl >= 0 {
+			raw, src = src[:nl], src[nl+1:]
+		} else {
+			src = ""
 		}
-		if trimmed[0] == '!' || ((trimmed[0] == 'C' || trimmed[0] == 'c') && strings.HasPrefix(strings.ToUpper(trimmed), "CDIR$") == false && len(strings.Fields(trimmed)[0]) == 1) {
+		trimmed := strings.TrimSpace(raw)
+		if trimmed == "" || isComment(trimmed) {
 			continue
 		}
 		upper := strings.ToUpper(trimmed)
 		if strings.HasPrefix(upper, "CDIR$") {
 			if strings.Contains(upper, "IVDEP") {
-				toks = append(toks, Token{Kind: TokIVDep, Line: lineno + 1})
-				toks = append(toks, Token{Kind: TokNewline, Line: lineno + 1})
+				toks = append(toks, Token{Kind: TokIVDep, Line: lineno})
+				toks = append(toks, Token{Kind: TokNewline, Line: lineno})
 			}
 			continue
 		}
-		lineToks, err := lexLine(upper, lineno+1)
-		if err != nil {
+		var err error
+		if toks, err = lexLine(toks, upper, lineno); err != nil {
 			return nil, err
 		}
-		toks = append(toks, lineToks...)
-		toks = append(toks, Token{Kind: TokNewline, Line: lineno + 1})
+		toks = append(toks, Token{Kind: TokNewline, Line: lineno})
 	}
 	toks = append(toks, Token{Kind: TokEOF})
 	return toks, nil
 }
 
-func lexLine(s string, line int) ([]Token, error) {
-	var toks []Token
+// isComment reports whether a trimmed, non-empty line is a comment: a
+// ! line, or a line whose first word is a lone C or c that does not go
+// on (after blanks) with = or (, which would make it a statement about
+// a variable named C.
+func isComment(line string) bool {
+	if line[0] == '!' {
+		return true
+	}
+	if line[0] != 'C' && line[0] != 'c' {
+		return false
+	}
+	rest := line[1:]
+	if rest != "" {
+		if r, _ := utf8.DecodeRuneInString(rest); !unicode.IsSpace(r) {
+			return false // a longer first word: CDIR$, CONTINUE, C(K) = ...
+		}
+	}
+	rest = strings.TrimLeftFunc(rest, unicode.IsSpace)
+	return rest == "" || rest[0] != '=' && rest[0] != '('
+}
+
+// lexLine appends the tokens of one upper-cased line to toks.
+func lexLine(toks []Token, s string, line int) ([]Token, error) {
 	i := 0
 	atStart := true
 	for i < len(s) {

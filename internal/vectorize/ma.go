@@ -41,9 +41,9 @@ func MAWorkload(prog *ftn.Program, loop *ftn.DoStmt) (core.Workload, error) {
 	if err != nil {
 		return w, err
 	}
-	loadStreams := make(map[string]bool)
-	storeStreams := make(map[string]bool)
-	written := make(map[string]bool)
+	loadStreams := make(map[streamID]bool)
+	storeStreams := make(map[streamID]bool)
+	written := make(map[accKey]bool)
 	for _, a := range accs {
 		if a.Aff.Invariant() {
 			continue // register-resident
@@ -66,10 +66,16 @@ func MAWorkload(prog *ftn.Program, loop *ftn.DoStmt) (core.Workload, error) {
 	return w, nil
 }
 
+// streamID identifies one memory stream of perfect index analysis.
+type streamID struct {
+	array, base string
+	stride, res int64
+}
+
 // streamKey groups accesses that perfect index analysis can serve from a
 // single memory stream: same array, stride, symbolic base, and offset
 // residue class modulo the stride.
-func streamKey(a Access) string {
+func streamKey(a Access) streamID {
 	stride := a.Aff.Stride
 	if stride < 0 {
 		stride = -stride
@@ -78,7 +84,7 @@ func streamKey(a Access) string {
 	if stride != 0 {
 		res = ((a.Aff.Const % stride) + stride) % stride
 	}
-	return fmt.Sprintf("%s|%d|%s|%d", a.Array, a.Aff.Stride, a.Aff.BaseKey(), res)
+	return streamID{array: a.Array, base: a.Aff.BaseKey(), stride: a.Aff.Stride, res: res}
 }
 
 // countFlops counts floating point additions (incl. subtractions and

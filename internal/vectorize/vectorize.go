@@ -2,6 +2,7 @@ package vectorize
 
 import (
 	"fmt"
+	"math"
 
 	"macs/internal/ftn"
 )
@@ -81,18 +82,32 @@ type Result struct {
 type builder struct {
 	sc     *scope
 	nodes  []*Node
-	cse    map[string]*Node
+	cse    map[cseKey]*Node
 	stores []*Node
 	// expanded maps scalar-expanded temporaries to their current node.
 	expanded map[string]*Node
-	// written maps "array|affine" of stores for forwarding; loadsOf maps
-	// the same keys to load nodes for anti-dependence ordering.
-	written map[string]*Node
-	loadsOf map[string][]*Node
+	// written maps the access of each store to its value for forwarding;
+	// loadsOf maps the same keys to load nodes for anti-dependence
+	// ordering.
+	written map[accKey]*Node
+	loadsOf map[accKey][]*Node
 	reds    []Reduction
 }
 
-func (b *builder) intern(key string, mk func() *Node) *Node {
+// cseKey identifies one value the builder shares between uses: a
+// constant by bit pattern, a negation or binary node by operator and
+// operand IDs, a broadcast scalar or invariant element by its printed
+// reference, a load by its access.
+type cseKey struct {
+	kind NodeKind
+	op   byte
+	x, y int
+	bits uint64
+	ref  string
+	acc  accKey
+}
+
+func (b *builder) intern(key cseKey, mk func() *Node) *Node {
 	if n, ok := b.cse[key]; ok {
 		return n
 	}
@@ -103,22 +118,29 @@ func (b *builder) intern(key string, mk func() *Node) *Node {
 	return n
 }
 
-func accessKey(arr string, a Affine) string {
-	return fmt.Sprintf("%s|%s|%d|%d", arr, a.BaseKey(), a.Const, a.Stride)
+// accKey identifies one array access: the array, the affine offset's
+// symbolic base, constant and stride.
+type accKey struct {
+	array, base string
+	off, stride int64
+}
+
+func accessKey(arr string, a Affine) accKey {
+	return accKey{array: arr, base: a.BaseKey(), off: a.Const, stride: a.Stride}
 }
 
 // buildExpr converts a real-valued expression to a DAG node.
 func (b *builder) buildExpr(e ftn.Expr) (*Node, error) {
 	switch x := e.(type) {
 	case ftn.Num:
-		key := fmt.Sprintf("c|%v", x.Val)
+		key := cseKey{kind: NConst, bits: math.Float64bits(x.Val)}
 		return b.intern(key, func() *Node { return &Node{Kind: NConst, Value: x.Val} }), nil
 	case ftn.Neg:
 		n, err := b.buildExpr(x.X)
 		if err != nil {
 			return nil, err
 		}
-		return b.intern(fmt.Sprintf("n|%d", n.ID), func() *Node { return &Node{Kind: NNeg, X: n, Src: x} }), nil
+		return b.intern(cseKey{kind: NNeg, x: n.ID}, func() *Node { return &Node{Kind: NNeg, X: n, Src: x} }), nil
 	case ftn.Bin:
 		l, err := b.buildExpr(x.L)
 		if err != nil {
@@ -128,7 +150,7 @@ func (b *builder) buildExpr(e ftn.Expr) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		key := fmt.Sprintf("b|%c|%d|%d", x.Op, l.ID, r.ID)
+		key := cseKey{kind: NBin, op: x.Op, x: l.ID, y: r.ID}
 		return b.intern(key, func() *Node { return &Node{Kind: NBin, Op: x.Op, X: l, Y: r, Src: x} }), nil
 	case *ftn.Ref:
 		return b.buildRef(x)
@@ -153,7 +175,7 @@ func (b *builder) buildRef(r *ftn.Ref) (*Node, error) {
 			// reading last iteration's value is a loop-carried recurrence.
 			return nil, fmt.Errorf("vectorize: %s carries a value across iterations (recurrence)", r.Name)
 		}
-		key := "s|" + r.Name
+		key := cseKey{kind: NScalar, op: 's', ref: r.Name}
 		return b.intern(key, func() *Node { return &Node{Kind: NScalar, Scalar: r} }), nil
 	}
 	acc, err := b.sc.refAccess(r, false)
@@ -162,7 +184,7 @@ func (b *builder) buildRef(r *ftn.Ref) (*Node, error) {
 	}
 	if acc.Aff.Invariant() {
 		// Loop-invariant array element: broadcast like a scalar.
-		key := "se|" + r.String()
+		key := cseKey{kind: NScalar, op: 'e', ref: r.String()}
 		return b.intern(key, func() *Node { return &Node{Kind: NScalar, Scalar: r} }), nil
 	}
 	key := accessKey(acc.Array, acc.Aff)
@@ -172,7 +194,7 @@ func (b *builder) buildRef(r *ftn.Ref) (*Node, error) {
 	if n, ok := b.written[key]; ok {
 		return n, nil
 	}
-	ld := b.intern("l|"+key, func() *Node {
+	ld := b.intern(cseKey{kind: NLoad, acc: key}, func() *Node {
 		return &Node{Kind: NLoad, Array: acc.Array, Aff: acc.Aff}
 	})
 	if len(b.loadsOf[key]) == 0 || b.loadsOf[key][len(b.loadsOf[key])-1] != ld {
@@ -198,10 +220,10 @@ func Vectorize(prog *ftn.Program, loop *ftn.DoStmt) (*Result, error) {
 	}
 	b := &builder{
 		sc:       sc,
-		cse:      make(map[string]*Node),
+		cse:      make(map[cseKey]*Node),
 		expanded: make(map[string]*Node),
-		written:  make(map[string]*Node),
-		loadsOf:  make(map[string][]*Node),
+		written:  make(map[accKey]*Node),
+		loadsOf:  make(map[accKey][]*Node),
 	}
 	res := &Result{Loop: loop, Step: sc.step}
 	for _, s := range loop.Body {

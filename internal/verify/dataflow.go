@@ -250,7 +250,8 @@ func dataflow(p *asm.Program) []Diagnostic {
 // implicit VL/VS reads of vector instructions.
 func reportUses(st *state, in isa.Instr, idx int, rep func(Severity, int, string, ...any)) {
 	reported := [numSlot]bool{}
-	for _, r := range in.Sources() {
+	var regs [8]isa.Reg
+	for _, r := range in.AppendSources(regs[:0]) {
 		s := regSlot(r)
 		if s < 0 || st[s].def || reported[s] {
 			continue

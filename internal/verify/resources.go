@@ -88,7 +88,8 @@ func resources(p *asm.Program) []Diagnostic {
 }
 
 func accumulatePairs(in isa.Instr, reads, writes *[4]int) {
-	for _, r := range in.VectorReads() {
+	var regs [8]isa.Reg
+	for _, r := range in.AppendVectorReads(regs[:0]) {
 		reads[r.Pair()]++
 	}
 	if w, ok := in.VectorWrite(); ok {

@@ -297,11 +297,15 @@ func boundParsed(parsed *ftn.Program, prog *Program, vl int, rules Rules) (Analy
 // length and rule set — the model half of BoundSource for callers that
 // compile once and bound many machine variants (the explore engine). src
 // must be the source prog was compiled from: the MA workload comes from
-// the high-level code.
+// the high-level code. A program from Compile carries its parsed source,
+// and that tree is used instead of parsing src again.
 func BoundCompiled(src string, prog *Program, vl int, rules Rules) (Analysis, error) {
-	parsed, err := ftn.Parse(src)
-	if err != nil {
-		return Analysis{}, err
+	parsed, ok := compiler.SourceOf(prog)
+	if !ok {
+		var err error
+		if parsed, err = ftn.Parse(src); err != nil {
+			return Analysis{}, err
+		}
 	}
 	return boundParsed(parsed, prog, vl, rules)
 }

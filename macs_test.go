@@ -184,3 +184,30 @@ func TestExtensionFacades(t *testing.T) {
 		t.Error("ExtendedBoundOf should fail on loop-free code")
 	}
 }
+
+// TestScalarNamedCBounds bounds one kernel twice, its temporary named C
+// and then D: a statement assigning C is a statement, not a comment, so
+// both spellings give the same hierarchy.
+func TestScalarNamedCBounds(t *testing.T) {
+	const tmpl = `
+PROGRAM P
+REAL X(1001), Y(1001), @
+INTEGER N, K
+DO K = 1, N
+  @ = X(K)
+  Y(K) = @ + 1.0
+ENDDO
+END
+`
+	var tma [2]float64
+	for i, name := range []string{"C", "D"} {
+		a, err := macs.BoundSource(strings.ReplaceAll(tmpl, "@", name))
+		if err != nil {
+			t.Fatalf("scalar %s: %v", name, err)
+		}
+		tma[i] = a.TMA
+	}
+	if tma[0] != tma[1] || tma[1] != 2 {
+		t.Errorf("t_MA with scalar C = %v, with scalar D = %v; want 2 for both", tma[0], tma[1])
+	}
+}

@@ -62,3 +62,42 @@ func TestParseOnceMatchesReparse(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundCompiledReusesSource: a compiled program carries the tree it
+// was lowered from, so BoundCompiled needs no source text for it (an
+// empty string is never parsed) and its bounds are bit-equal to the
+// re-parse path — a copy of the program, which carries no tree — on the
+// ten LFKs at three vector lengths, all compiled from one parse.
+func TestBoundCompiledReusesSource(t *testing.T) {
+	for _, k := range lfk.All() {
+		parsed, err := ftn.Parse(k.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, vl := range []int{128, 64, 32} {
+			opts := compiler.DefaultOptions()
+			opts.VL = vl
+			prog, err := compiler.CompileProgram(parsed, opts)
+			if err != nil {
+				t.Fatalf("lfk%d vl=%d: %v", k.ID, vl, err)
+			}
+			if src, ok := compiler.SourceOf(prog); !ok || src != parsed {
+				t.Fatalf("lfk%d vl=%d: program does not carry the tree it was compiled from", k.ID, vl)
+			}
+			if _, ok := compiler.SourceOf(prog.Clone()); ok {
+				t.Fatalf("lfk%d vl=%d: a copy carries a source tree", k.ID, vl)
+			}
+			once, err := macs.BoundCompiled("", prog, vl, core.DefaultRules())
+			if err != nil {
+				t.Fatalf("lfk%d vl=%d: %v", k.ID, vl, err)
+			}
+			reparse, err := macs.BoundCompiled(k.Source, prog.Clone(), vl, core.DefaultRules())
+			if err != nil {
+				t.Fatalf("lfk%d vl=%d: %v", k.ID, vl, err)
+			}
+			if !reflect.DeepEqual(once, reparse) {
+				t.Errorf("lfk%d vl=%d: bounds differ\nreused tree: %+v\nre-parse:    %+v", k.ID, vl, once, reparse)
+			}
+		}
+	}
+}
