@@ -585,3 +585,53 @@ func BenchmarkExplore(b *testing.B) {
 		})
 	}
 }
+
+// exploreColdGrid is the 192-point grid of the serving benchmark's
+// explore-cold workload: memory geometry and refresh timing crossed with
+// three vector lengths, so a sweep compiles three programs.
+var exploreColdGrid = explore.Grid{Axes: []explore.Axis{
+	{Param: "banks", Values: []float64{16, 32, 64, 128}},
+	{Param: "bank-cycle", Values: []float64{4, 6, 8, 12}},
+	{Param: "refresh-period", Values: []float64{200, 400, 800, 1600}},
+	{Param: "vlmax", Values: []float64{32, 64, 128}},
+}}
+
+// BenchmarkExploreCold measures the sweep a never-seen kernel pays: one
+// evaluator registry is shared across ops, as the service shares it
+// across requests, but every op sweeps a source the registry has not
+// compiled before (the kernel behind a distinct comment line), so each
+// sweep compiles, bounds and fast-tier scores all 192 points from an
+// empty prediction memo and simulates the top 5%.
+func BenchmarkExploreCold(b *testing.B) {
+	evals := explore.NewEvaluators(vm.DefaultConfig())
+	eng, err := explore.New(exploreColdGrid, explore.Options{Evaluators: evals})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	seq := 0
+	for _, k := range lfk.All() {
+		k := k
+		b.Run(fmt.Sprintf("lfk%d", k.ID), func(b *testing.B) {
+			b.ReportAllocs()
+			req := explore.Request{
+				Iterations: int64(k.Elements),
+				Ints:       k.DataInts(),
+				Prime:      k.PrimeFunc(),
+			}
+			var swept int
+			for i := 0; i < b.N; i++ {
+				seq++
+				req.Source = fmt.Sprintf("! cold sweep %d\n%s", seq, k.Source)
+				sw, err := eng.Sweep(ctx, req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				swept += sw.Swept
+			}
+			if secs := b.Elapsed().Seconds(); secs > 0 {
+				b.ReportMetric(float64(swept)/secs, "points/sec")
+			}
+		})
+	}
+}

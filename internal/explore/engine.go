@@ -78,6 +78,11 @@ type progKey struct {
 // (compiles are cheap to redo, eviction bookkeeping is not).
 const progCap = 128
 
+// predictorCap bounds the predictor registry the same way. It matches the
+// largest grid the service accepts, so one sweep's machines fit at once;
+// a dropped predictor only costs its machine a cold stall table.
+const predictorCap = 4096
+
 // NewEvaluators creates a shared evaluator registry over one run
 // template. The template's own Machine field is irrelevant — it is
 // replaced by each requested machine.
@@ -93,18 +98,24 @@ func NewEvaluators(run vm.Config) *Evaluators {
 	}
 }
 
-// predictor returns (creating on first sight) the fast-tier predictor
-// for one machine.
-func (e *Evaluators) predictor(m vm.Machine) *fasttier.Predictor {
-	fp := m.Fingerprint()
+// predictors returns (creating on first sight) the fast-tier predictor
+// for each machine, keyed by the machine's fingerprint fps[i].
+func (e *Evaluators) predictors(ms []vm.Machine, fps []string) []*fasttier.Predictor {
+	out := make([]*fasttier.Predictor, len(ms))
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if p, ok := e.m[fp]; ok {
-		return p
+	for i, m := range ms {
+		p, ok := e.m[fps[i]]
+		if !ok {
+			if len(e.m) >= predictorCap {
+				e.m = make(map[string]*fasttier.Predictor)
+			}
+			p = fasttier.NewPredictor(calib.FastTierConfig(e.run.WithMachine(m)))
+			e.m[fps[i]] = p
+		}
+		out[i] = p
 	}
-	p := fasttier.NewPredictor(calib.FastTierConfig(e.run.WithMachine(m)))
-	e.m[fp] = p
-	return p
+	return out
 }
 
 // program returns the compiled and verified program for one source at
@@ -155,6 +166,8 @@ func (e *Evaluators) SimPool() (created, recycled int64) { return e.pool.Stats()
 type Engine struct {
 	opts   Options
 	points []vm.Machine
+	fps    []string // fps[i] is points[i].Fingerprint()
+	chunks [][]int  // stage 1's work split, see chunk
 	evals  *Evaluators
 }
 
@@ -184,7 +197,13 @@ func New(grid Grid, opts Options) (*Engine, error) {
 	if evals == nil {
 		evals = NewEvaluators(opts.Run)
 	}
-	return &Engine{opts: opts, points: points, evals: evals}, nil
+	fps := make([]string, len(points))
+	for i, m := range points {
+		fps[i] = m.Fingerprint()
+	}
+	e := &Engine{opts: opts, points: points, fps: fps, evals: evals}
+	e.chunks = e.chunk()
+	return e, nil
 }
 
 // Points returns the number of machine points in the engine's grid.
@@ -322,6 +341,32 @@ func (e *Engine) effVL(m vm.Machine) int {
 	return m.VLMax
 }
 
+// chunk splits the grid's point indices by compiled program (effective
+// vector length), then each program's points into Workers runs, so a
+// chunk's points share a program and stage 1 can score them in one walk.
+func (e *Engine) chunk() [][]int {
+	var vls []int
+	byVL := make(map[int][]int)
+	for i, m := range e.points {
+		vl := e.effVL(m)
+		if _, ok := byVL[vl]; !ok {
+			vls = append(vls, vl)
+		}
+		byVL[vl] = append(byVL[vl], i)
+	}
+	var out [][]int
+	for _, vl := range vls {
+		idx := byVL[vl]
+		size := (len(idx) + e.opts.Workers - 1) / e.opts.Workers
+		for len(idx) > 0 {
+			k := min(size, len(idx))
+			out = append(out, idx[:k])
+			idx = idx[k:]
+		}
+	}
+	return out
+}
+
 // Sweep evaluates every grid point for one kernel: compile once per
 // distinct vector length, score every point with the fast tier, simulate
 // the top fraction. It is cancellable through ctx — once ctx fires, no
@@ -383,32 +428,48 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 		}
 	}
 
-	// Stage 1: fast-tier score for every point, in parallel. Data
-	// dependence is a property of the program, not of the machine; the
-	// first rejection flips the whole sweep into exhaustive simulation.
-	var dataDependent sync.Once
-	fallback := false
-	err := par.ForEachCtx(ctx, e.opts.Workers, n, func(i int) error {
-		m := e.points[i]
-		p := Point{
-			Index:       i,
-			Machine:     m,
-			Fingerprint: m.Fingerprint(),
-			Bounds:      boundsOf[boundsKey{e.effVL(m), m.Rules}],
+	// Stage 1: fast-tier score for every point. The points compiled to one
+	// program are scored together, split into Workers chunks so every core
+	// has work: fasttier.PredictEach walks the program once per chunk and
+	// times each of the chunk's machines in lockstep. Data dependence is a
+	// property of the program, not of the machine; the first rejection
+	// flips the whole sweep into exhaustive simulation.
+	preds := e.evals.predictors(e.points, e.fps)
+	errs := make([]error, n)
+	err := par.ForEachCtx(ctx, e.opts.Workers, len(e.chunks), func(c int) error {
+		idx := e.chunks[c]
+		ps := make([]*fasttier.Predictor, len(idx))
+		for j, i := range idx {
+			ps[j] = preds[i]
 		}
-		pred, err := e.evals.predictor(m).Predict(progOf[e.effVL(m)], req.Iterations, req.Ints)
-		switch {
-		case errors.Is(err, fasttier.ErrDataDependent):
-			dataDependent.Do(func() { fallback = true })
-		case err != nil:
-			return fmt.Errorf("explore: point %d: %w", i, err)
-		default:
-			p.PredictedCycles = pred.Cycles
-			p.PredictedCPL = pred.CPL
+		prog := progOf[e.effVL(e.points[idx[0]])]
+		got, perr := fasttier.PredictEach(prog, req.Iterations, req.Ints, ps)
+		for j, i := range idx {
+			m := e.points[i]
+			p := Point{
+				Index:       i,
+				Machine:     m,
+				Fingerprint: e.fps[i],
+				Bounds:      boundsOf[boundsKey{e.effVL(m), m.Rules}],
+			}
+			if perr[j] == nil {
+				p.PredictedCycles = got[j].Cycles
+				p.PredictedCPL = got[j].CPL
+			}
+			errs[i] = perr[j]
+			sw.Points[i] = p
 		}
-		sw.Points[i] = p
 		return nil
 	})
+	fallback := false
+	for i, perr := range errs {
+		switch {
+		case errors.Is(perr, fasttier.ErrDataDependent):
+			fallback = true
+		case perr != nil:
+			return nil, fmt.Errorf("explore: point %d: %w", i, perr)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -457,3 +457,45 @@ func TestSweepParsesOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictorRegistryBounded: a registry fed ever-new machines (here a
+// real-valued mem-slowdown axis) never holds more than predictorCap
+// predictors, and sweeps through a registry that dropped its predictors
+// mid-sweep stay bit-equal to sweeps through a fresh one.
+func TestPredictorRegistryBounded(t *testing.T) {
+	k, err := lfk.ByID(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Source: k.Source, Iterations: int64(k.Elements), Ints: k.DataInts(), Prime: k.PrimeFunc()}
+	const per = predictorCap/2 + 100
+	grid := func(first int) Grid {
+		vals := make([]float64, per)
+		for i := range vals {
+			vals[i] = 1 + float64(first+i)/1024
+		}
+		return Grid{Axes: []Axis{{Param: "mem-slowdown", Values: vals}}}
+	}
+	shared := NewEvaluators(vm.DefaultConfig())
+	for round, first := range []int{0, per, 0} {
+		g := grid(first)
+		sweep := func(evals *Evaluators) *Sweep {
+			eng, err := New(g, Options{Workers: 2, Evaluators: evals, TopFrac: 1e-9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sw, err := eng.Sweep(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sw
+		}
+		got, want := sweep(shared), sweep(NewEvaluators(vm.DefaultConfig()))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: sweep through the shared registry differs from a fresh one", round)
+		}
+		if n := shared.Machines(); n > predictorCap {
+			t.Fatalf("round %d: registry holds %d machines, cap is %d", round, n, predictorCap)
+		}
+	}
+}

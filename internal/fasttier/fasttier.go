@@ -318,10 +318,10 @@ func Class(p *asm.Program, rules core.Rules) string {
 	return fmt.Sprintf("c%d-m%d-f%d", len(chimes), mem, fp)
 }
 
-// Predictor is the pooled front door to the fast tier: it recycles
-// replay state — most importantly the memoized stream-stall table, whose
-// warmth is much of the fast tier's speed — across predictions. It is
-// safe for concurrent use.
+// Predictor is the pooled front door to the fast tier for one machine:
+// it recycles the machine's timers — most importantly their memoized
+// stream-stall tables, whose warmth is much of the fast tier's speed —
+// across predictions. It is safe for concurrent use.
 //
 // Finished predictions are memoized on the program itself (see memo), so
 // identical requests on one compiled program — the explore engine's and
@@ -330,7 +330,7 @@ func Class(p *asm.Program, rules core.Rules) string {
 // program alive.
 type Predictor struct {
 	cfg  Config
-	pool sync.Pool
+	pool sync.Pool // of *timer
 }
 
 // memo is one program's prediction memo, stored among the program's
@@ -402,7 +402,7 @@ func intsFingerprint(ints map[string]int64) string {
 // NewPredictor creates a Predictor for one machine configuration.
 func NewPredictor(cfg Config) *Predictor {
 	p := &Predictor{cfg: cfg}
-	p.pool.New = func() any { return newReplay(cfg) }
+	p.pool.New = func() any { return newTimer(cfg) }
 	return p
 }
 
@@ -415,24 +415,82 @@ func (p *Predictor) Config() Config { return p.cfg }
 // values that drive trip counts and addresses. It returns
 // ErrDataDependent (wrapped) when the program's timing depends on data
 // the fast tier does not model. Identical requests are memoized.
+//
+// Predict is PredictEach with one predictor: one walk, one timer.
 func (p *Predictor) Predict(prog *asm.Program, iterations int64, ints map[string]int64) (Prediction, error) {
 	mo, key := memoOf(prog), memoKey{pred: p, iterations: iterations, ints: intsFingerprint(ints)}
 	if pred, ok := mo.get(key); ok {
 		return pred, nil
 	}
-	r := p.pool.Get().(*replay)
-	pred, err := r.predict(prog, iterations, ints)
-	p.pool.Put(r)
-	if err == nil {
-		mo.put(key, pred)
+	t := p.pool.Get().(*timer)
+	var out [1]Prediction
+	err := replay(prog, iterations, ints, p.cfg.group(), []*timer{t}, out[:])
+	p.pool.Put(t)
+	if err != nil {
+		return Prediction{}, err
 	}
-	return pred, err
+	mo.put(key, out[0])
+	return out[0], nil
+}
+
+// PredictEach predicts prog on every predictor's machine: out[i] and
+// errs[i] answer preds[i] exactly as preds[i].Predict would, memo
+// included. Predictors whose memo already holds the answer are served
+// from it; the rest are grouped by what shapes the walk (vector length
+// ceiling, chime rules, instruction budget), and each group costs one
+// walk of the program timing all of its machines in lockstep, each timer
+// drawn from its own predictor's pool. A replay error belongs to the walk,
+// so it answers for every predictor of its group.
+func PredictEach(prog *asm.Program, iterations int64, ints map[string]int64, preds []*Predictor) (out []Prediction, errs []error) {
+	out = make([]Prediction, len(preds))
+	errs = make([]error, len(preds))
+	mo, fp := memoOf(prog), intsFingerprint(ints)
+	miss := make([]int, 0, len(preds))
+	for i, p := range preds {
+		if pred, ok := mo.get(memoKey{pred: p, iterations: iterations, ints: fp}); ok {
+			out[i] = pred
+			continue
+		}
+		miss = append(miss, i)
+	}
+	group := make([]int, 0, len(miss))
+	timers := make([]*timer, 0, len(miss))
+	res := make([]Prediction, len(miss))
+	for len(miss) > 0 {
+		g := preds[miss[0]].cfg.group()
+		group, timers = group[:0], timers[:0]
+		rest := miss[:0]
+		for _, i := range miss {
+			if preds[i].cfg.group() != g {
+				rest = append(rest, i)
+				continue
+			}
+			group = append(group, i)
+			timers = append(timers, preds[i].pool.Get().(*timer))
+		}
+		err := replay(prog, iterations, ints, g, timers, res)
+		for j, i := range group {
+			preds[i].pool.Put(timers[j])
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			out[i] = res[j]
+			mo.put(memoKey{pred: preds[i], iterations: iterations, ints: fp}, res[j])
+		}
+		miss = rest
+	}
+	return out, errs
 }
 
 // Predict is the one-shot form of Predictor.Predict for callers without a
 // predictor to pool state in.
 func Predict(prog *asm.Program, iterations int64, ints map[string]int64, cfg Config) (Prediction, error) {
-	return newReplay(cfg).predict(prog, iterations, ints)
+	var out [1]Prediction
+	if err := replay(prog, iterations, ints, cfg.group(), []*timer{newTimer(cfg)}, out[:]); err != nil {
+		return Prediction{}, err
+	}
+	return out[0], nil
 }
 
 // signatureKey and classKey key a program's schedule identity among its

@@ -36,8 +36,11 @@ const (
 // them. The point fields describe the worst-case (slowest) path. It
 // returns ErrDataDependent (wrapped) when the enumeration caps are
 // exceeded or a path fails for a non-branch reason (unknown vector
-// length, stride, or address).
-func (r *replay) predictInterval(prog *asm.Program, iterations int64, ints map[string]int64) (Prediction, error) {
+// length, stride, or address). It walks each path with the one timer t.
+func predictInterval(prog *asm.Program, iterations int64, ints map[string]int64, t *timer) (Prediction, error) {
+	w := getWalk(t.cfg.group())
+	defer putWalk(w)
+	w.timers = append(w.timers, t)
 	stack := [][]bool{nil}
 	var (
 		paths    int
@@ -48,9 +51,10 @@ func (r *replay) predictInterval(prog *asm.Program, iterations int64, ints map[s
 	for len(stack) > 0 {
 		d := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		pred, err := r.run(prog, iterations, ints, d, true)
+		err := w.run(prog, ints, d, true)
 		switch {
 		case err == nil:
+			pred := w.prediction(t, iterations)
 			paths++
 			if paths > maxIntervalPaths {
 				return Prediction{}, fmt.Errorf("interval enumeration exceeded %d paths: %w",
@@ -105,9 +109,9 @@ func (p *Predictor) PredictInterval(prog *asm.Program, iterations int64, ints ma
 	if pred, ok := mo.get(key); ok {
 		return pred, nil
 	}
-	r := p.pool.Get().(*replay)
-	pred, err := r.predictInterval(prog, iterations, ints)
-	p.pool.Put(r)
+	t := p.pool.Get().(*timer)
+	pred, err := predictInterval(prog, iterations, ints, t)
+	p.pool.Put(t)
 	if err == nil {
 		mo.put(key, pred)
 	}
@@ -116,5 +120,5 @@ func (p *Predictor) PredictInterval(prog *asm.Program, iterations int64, ints ma
 
 // PredictInterval is the one-shot form of Predictor.PredictInterval.
 func PredictInterval(prog *asm.Program, iterations int64, ints map[string]int64, cfg Config) (Prediction, error) {
-	return newReplay(cfg).predictInterval(prog, iterations, ints)
+	return predictInterval(prog, iterations, ints, newTimer(cfg))
 }

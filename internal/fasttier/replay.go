@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"macs/internal/asm"
 	"macs/internal/core"
@@ -11,39 +12,95 @@ import (
 	"macs/internal/mem"
 )
 
-// vwriter records the in-flight producer of a vector register for the
-// chaining and completion constraints (the simulator's record, verbatim).
-type vwriter struct {
-	valid bool
-	chime int64
-	start int64
-	y     int
-	z     float64
-	fin   int64
+// A schedule replay comes in two halves. The walk is everything the
+// machine cannot change: the program counter, a symbolic integer machine
+// (registers and memory cells with known bits) that resolves trip counts
+// and addresses without a memory image, the data layout, chime formation
+// and the instruction and chime counters. A timer is one machine's clock:
+// pipe tailgates, producer times, port times, the chime gate, memory
+// stalls and the attribution frontiers — the simulator's timing
+// equations, ported verbatim.
+//
+// One walk drives any number of timers in lockstep: it decodes each
+// dynamic instruction once and hands every timer the same
+// machine-independent description of it. No branch, address or vector
+// length ever reads a clock, so a timer driven alongside others sees
+// exactly the event sequence it would see alone; only the vector length
+// ceiling, the chime rules and the instruction budget shape the walk
+// itself, and timers are grouped by those (groupKey). There is
+// deliberately no floating-point value state and no per-element work
+// anywhere in this file.
+
+// groupKey is the part of a Config the walk depends on. Timers whose
+// configurations share it can ride one walk.
+type groupKey struct {
+	vlMax     int
+	rules     core.Rules
+	maxInstrs int64
 }
 
-// replay is one schedule replayer. It carries the simulator's *timing*
-// state — chime formation, pipe tailgates, producer records, port times,
-// attribution frontiers — plus a symbolic integer machine (registers and
-// memory cells with known bits) that resolves trip counts and addresses
-// without a memory image. There is deliberately no floating-point value
-// state and no per-element work anywhere in this file.
-type replay struct {
-	cfg    Config
+func (cfg Config) group() groupKey {
+	return groupKey{vlMax: cfg.VLMax, rules: cfg.Rules, maxInstrs: cfg.MaxInstrs}
+}
+
+// producer is the machine-independent half of a vector register's
+// in-flight producer record: which chime wrote it, with what timing.
+type producer struct {
+	valid bool
+	chime int64
+	y     int
+	z     float64
+}
+
+// chainDep is one vector operand's dependence on its producer, as the
+// walk resolves it: chained (same chime, chaining on) with the lag behind
+// the producer's stream start, or otherwise a wait for its completion.
+type chainDep struct {
+	reg     int
+	chained bool
+	lag     int64
+}
+
+// vecOp is one vector instruction as the walk decoded it — everything the
+// timing equations need that does not depend on the machine.
+type vecOp struct {
+	timing isa.Timing
+	vl     int
+	// waits lists the scalar sources the ASU must have before dispatch.
+	waits  []int
+	wbuf   [8]int
+	closes bool  // the instruction closed the forming chime first
+	span   int64 // the closed chime's stream span, in cycles
+	// newChime reports that the instruction opens a chime.
+	newChime bool
+	pipe     isa.Pipe
+	streamIn int64
+	chains   []chainDep
+	cbuf     [8]chainDep
+	mem      bool
+	ea       int64
+	stride   int64
+	write    int // vector register written, or -1
+	sum      int // scalar register a reduction writes, or -1
+}
+
+// walk is the machine-independent half of a replay. See the comment at
+// the top of the file.
+type walk struct {
+	groupKey
 	prog   *asm.Program
 	layout *mem.Layout
 
 	// Symbolic integer state. Registers start zero and known, exactly as
 	// the simulator zero-initializes them; a value becomes unknown only
 	// when floating-point data flows in (float loads, float arithmetic).
+	// VL and VS are always known: setIntReg refuses unmodeled values.
 	a       [isa.NumARegs]int64
 	aKnown  [isa.NumARegs]bool
 	s       [isa.NumSRegs]int64
 	sKnown  [isa.NumSRegs]bool
 	vl      int
-	vlKnown bool
 	vs      int64
-	vsKnown bool
 	tf      bool
 	tfKnown bool
 	pc      int
@@ -55,27 +112,11 @@ type replay struct {
 	cells        map[int64]int64
 	unknownCells map[int64]bool
 
-	// Timing state, mirroring vm.CPU field for field.
-	clock          int64
-	pipeFree       [4]int64
-	pipeUsed       [4]bool
-	vw             [isa.NumVRegs]vwriter
-	sReady         [isa.NumSRegs]int64
-	vectorPortFree int64
-	scalarPortFree int64
-	builder        *core.ChimeBuilder
-	chimeID        int64
-	chimeStart     int64
-	chimeMemStall  int64
-	chimeVL        int
-	lastChimeStart int64
-	prevGate       int64
-	prevGateSplit  bool
-	maxEvent       int64
-	laneTime       [NumLanes]int64
-
-	bankCfg  mem.Config
-	stallTab *mem.StallTable
+	builder *core.ChimeBuilder
+	chimeID int64
+	chimeVL int
+	vw      [isa.NumVRegs]producer
+	op      vecOp
 
 	// Interval (path-enumeration) mode. When forking is true, a branch on
 	// an unmodeled comparison consumes the next scripted outcome from
@@ -88,7 +129,39 @@ type replay struct {
 
 	halted   bool
 	finished bool
-	pred     Prediction
+	instrs   int64
+	vectors  int64
+	scalars  int64
+	chimes   int64
+
+	timers []*timer
+}
+
+// timer is one machine's half of a replay: the simulator's timing state,
+// field for field, plus the machine's memory model.
+type timer struct {
+	cfg            Config
+	clock          int64
+	pipeFree       [4]int64
+	pipeUsed       [4]bool
+	vw             [isa.NumVRegs]struct{ start, fin int64 }
+	sReady         [isa.NumSRegs]int64
+	vectorPortFree int64
+	scalarPortFree int64
+	chimeStart     int64
+	chimeMemStall  int64
+	lastChimeStart int64
+	prevGate       int64
+	prevGateSplit  bool
+	maxEvent       int64
+	laneTime       [NumLanes]int64
+
+	bankCfg  mem.Config
+	stallTab *mem.StallTable
+
+	// pred accumulates the timer's share of the answer: Cycles,
+	// MemStalls, PortConflicts and Attr.
+	pred Prediction
 }
 
 // errNeedDecision reports that a forking replay reached a branch on an
@@ -96,19 +169,41 @@ type replay struct {
 // the package: predictInterval catches it and deepens the script.
 var errNeedDecision = errors.New("fasttier: undecided data-dependent branch")
 
-func newReplay(cfg Config) *replay {
-	r := &replay{
-		cfg:          cfg,
+// walks recycles walks, whose layout and cell maps are worth keeping.
+var walks = sync.Pool{New: func() any {
+	return &walk{
 		layout:       mem.NewLayout(),
 		cells:        make(map[int64]int64),
 		unknownCells: make(map[int64]bool),
-		builder:      core.NewChimeBuilder(cfg.Rules),
 	}
-	r.bankCfg = cfg.bankConfig()
+}}
+
+// getWalk returns a pooled walk configured for one group.
+func getWalk(g groupKey) *walk {
+	w := walks.Get().(*walk)
+	if w.builder == nil || w.rules != g.rules {
+		w.builder = core.NewChimeBuilder(g.rules)
+	}
+	w.groupKey = g
+	return w
+}
+
+// putWalk returns a walk to the pool without keeping its program, script
+// or timers alive.
+func putWalk(w *walk) {
+	w.prog = nil
+	w.decisions = nil
+	clear(w.timers)
+	w.timers = w.timers[:0]
+	walks.Put(w)
+}
+
+func newTimer(cfg Config) *timer {
+	t := &timer{cfg: cfg, bankCfg: cfg.bankConfig()}
 	if cfg.BankConflicts || cfg.RefreshStalls {
-		r.stallTab = mem.NewStallTable(r.bankCfg)
+		t.stallTab = mem.NewStallTable(t.bankCfg)
 	}
-	return r
+	return t
 }
 
 // bankConfig renders the fast tier's memory geometry as the bank model's
@@ -133,234 +228,302 @@ func (cfg Config) bankConfig() mem.Config {
 	return c
 }
 
-// reset prepares the replayer for the next prediction. The memoized
-// stream-stall table survives — its answers depend only on configuration,
-// and keeping it warm across pooled predictions is much of the tier's
-// speed.
-func (r *replay) reset() {
-	r.prog = nil
-	r.layout.Reset()
-	clear(r.cells)
-	clear(r.unknownCells)
-	r.a = [isa.NumARegs]int64{}
-	r.s = [isa.NumSRegs]int64{}
-	for i := range r.aKnown {
-		r.aKnown[i] = true
+// replay walks prog once, timing it on every timer (all of group g), and
+// writes timer i's prediction to out[i]. An error comes from the walk and
+// so holds for every timer.
+func replay(prog *asm.Program, iterations int64, ints map[string]int64, g groupKey, timers []*timer, out []Prediction) error {
+	w := getWalk(g)
+	defer putWalk(w)
+	w.timers = append(w.timers, timers...)
+	if err := w.run(prog, ints, nil, false); err != nil {
+		return err
 	}
-	for i := range r.sKnown {
-		r.sKnown[i] = true
+	for i, t := range timers {
+		out[i] = w.prediction(t, iterations)
 	}
-	r.vl, r.vlKnown = r.cfg.VLMax, true
-	r.vs, r.vsKnown = isa.WordBytes, true
-	r.tf, r.tfKnown = false, true
-	r.pc = 0
-
-	r.clock = 0
-	r.pipeFree = [4]int64{}
-	r.pipeUsed = [4]bool{}
-	r.vw = [isa.NumVRegs]vwriter{}
-	r.sReady = [isa.NumSRegs]int64{}
-	r.vectorPortFree = 0
-	r.scalarPortFree = 0
-	r.builder.Reset()
-	r.chimeID = 0
-	r.chimeStart = 0
-	r.chimeMemStall = 0
-	r.chimeVL = 0
-	r.lastChimeStart = 0
-	r.prevGate = 0
-	r.prevGateSplit = false
-	r.maxEvent = 0
-	r.laneTime = [NumLanes]int64{}
-
-	r.forking = false
-	r.decisions = nil
-	r.decisionIdx = 0
-
-	r.halted = false
-	r.finished = false
-	r.pred = Prediction{}
+	return nil
 }
 
-// predict replays one program. See Predictor.Predict for the contract.
-func (r *replay) predict(prog *asm.Program, iterations int64, ints map[string]int64) (Prediction, error) {
-	return r.run(prog, iterations, ints, nil, false)
+// reset prepares the walk for the next replay.
+func (w *walk) reset() {
+	w.prog = nil
+	w.layout.Reset()
+	clear(w.cells)
+	clear(w.unknownCells)
+	w.a = [isa.NumARegs]int64{}
+	w.s = [isa.NumSRegs]int64{}
+	for i := range w.aKnown {
+		w.aKnown[i] = true
+	}
+	for i := range w.sKnown {
+		w.sKnown[i] = true
+	}
+	w.vl = w.vlMax
+	w.vs = isa.WordBytes
+	w.tf, w.tfKnown = false, true
+	w.pc = 0
+
+	w.builder.Reset()
+	w.chimeID = 0
+	w.chimeVL = 0
+	w.vw = [isa.NumVRegs]producer{}
+
+	w.forking = false
+	w.decisions = nil
+	w.decisionIdx = 0
+
+	w.halted = false
+	w.finished = false
+	w.instrs, w.vectors, w.scalars, w.chimes = 0, 0, 0, 0
 }
 
-// run replays one program, optionally under a branch-decision script
-// (forking mode). See predict and predictInterval.
-func (r *replay) run(prog *asm.Program, iterations int64, ints map[string]int64, decisions []bool, forking bool) (Prediction, error) {
-	r.reset()
-	r.forking = forking
-	r.decisions = decisions
+// reset prepares the timer for the next replay. The memoized
+// stream-stall table survives — its answers depend only on
+// configuration, and keeping it warm across pooled predictions is much
+// of the tier's speed.
+func (t *timer) reset() {
+	t.clock = 0
+	t.pipeFree = [4]int64{}
+	t.pipeUsed = [4]bool{}
+	t.vw = [isa.NumVRegs]struct{ start, fin int64 }{}
+	t.sReady = [isa.NumSRegs]int64{}
+	t.vectorPortFree = 0
+	t.scalarPortFree = 0
+	t.chimeStart = 0
+	t.chimeMemStall = 0
+	t.lastChimeStart = 0
+	t.prevGate = 0
+	t.prevGateSplit = false
+	t.maxEvent = 0
+	t.laneTime = [NumLanes]int64{}
+	t.pred = Prediction{}
+}
+
+// run replays one program on every timer, optionally under a
+// branch-decision script (forking mode). See replay and predictInterval.
+func (w *walk) run(prog *asm.Program, ints map[string]int64, decisions []bool, forking bool) error {
+	w.reset()
+	for _, t := range w.timers {
+		t.reset()
+	}
+	w.forking = forking
+	w.decisions = decisions
 	if err := prog.Validate(); err != nil {
-		return Prediction{}, err
+		return err
 	}
-	r.prog = prog
+	w.prog = prog
 	for _, d := range prog.Data {
-		addr, err := r.layout.Place(d.Name, d.Size)
+		addr, err := w.layout.Place(d.Name, d.Size)
 		if err != nil {
-			return Prediction{}, err
+			return err
 		}
 		// Initialized data is floating point: its words are real values
 		// the fast tier does not carry.
 		for i := range d.Init {
-			r.unknownCells[addr+int64(i*8)] = true
+			w.unknownCells[addr+int64(i*8)] = true
 		}
 	}
 	for name, v := range ints {
-		addr, ok := r.layout.Addr(name)
+		addr, ok := w.layout.Addr(name)
 		if !ok {
-			return Prediction{}, fmt.Errorf("fasttier: priming unknown symbol %q", name)
+			return fmt.Errorf("fasttier: priming unknown symbol %q", name)
 		}
-		r.cells[addr] = v
-		delete(r.unknownCells, addr)
+		w.cells[addr] = v
+		delete(w.unknownCells, addr)
 	}
 	if idx, ok := prog.Labels["main"]; ok {
-		r.pc = idx
+		w.pc = idx
 	}
 	for {
-		done, err := r.step()
+		done, err := w.step()
 		if err != nil {
-			return Prediction{}, err
+			return err
 		}
 		if done {
-			break
+			return nil
 		}
 	}
-	pred := r.pred
-	finishPrediction(&pred, prog, r.cfg.Rules, iterations)
-	return pred, nil
 }
 
-func (r *replay) step() (bool, error) {
-	if r.halted || r.pc < 0 || r.pc >= len(r.prog.Instrs) {
-		r.finish()
+// prediction assembles timer t's answer after a successful run.
+func (w *walk) prediction(t *timer, iterations int64) Prediction {
+	pred := t.pred
+	pred.Instrs = w.instrs
+	pred.VectorInstrs = w.vectors
+	pred.ScalarInstrs = w.scalars
+	pred.Chimes = w.chimes
+	finishPrediction(&pred, w.prog, w.rules, iterations)
+	return pred
+}
+
+func (w *walk) step() (bool, error) {
+	if w.halted || w.pc < 0 || w.pc >= len(w.prog.Instrs) {
+		w.finish()
 		return true, nil
 	}
-	in := r.prog.Instrs[r.pc]
-	r.pred.Instrs++
-	if r.pred.Instrs > r.cfg.MaxInstrs {
-		return true, fmt.Errorf("fasttier: replay limit exceeded at pc=%d (%s)", r.pc, in)
+	in := &w.prog.Instrs[w.pc]
+	w.instrs++
+	if w.instrs > w.maxInstrs {
+		return true, fmt.Errorf("fasttier: replay limit exceeded at pc=%d (%s)", w.pc, in)
 	}
 	var jumped bool
 	var err error
 	if in.IsVector() {
-		r.pred.VectorInstrs++
-		err = r.execVector(in)
+		w.vectors++
+		err = w.execVector(in)
 	} else {
-		r.pred.ScalarInstrs++
+		w.scalars++
 		if in.Op == isa.OpHalt {
-			r.halted = true
-			r.finish()
+			w.halted = true
+			w.finish()
 			return true, nil
 		}
-		jumped, err = r.execScalar(in)
+		jumped, err = w.execScalar(in)
 	}
 	if err != nil {
-		return true, fmt.Errorf("fasttier: pc=%d (%s): %w", r.pc, in, err)
+		return true, fmt.Errorf("fasttier: pc=%d (%s): %w", w.pc, in, err)
 	}
 	if !jumped {
-		r.pc++
+		w.pc++
 	}
-	if r.pc < 0 || r.pc >= len(r.prog.Instrs) {
-		r.halted = true
-		r.finish()
+	if w.pc < 0 || w.pc >= len(w.prog.Instrs) {
+		w.halted = true
+		w.finish()
 		return true, nil
 	}
 	return false, nil
 }
 
-func (r *replay) finish() {
-	if r.finished {
+func (w *walk) finish() {
+	if w.finished {
 		return
 	}
-	r.finished = true
-	r.closeChime(false)
-	r.pred.Cycles = maxI64(r.clock, r.maxEvent, r.prevGate)
+	w.finished = true
+	w.closeChime(false)
+	for _, t := range w.timers {
+		t.finish()
+	}
+}
+
+func (t *timer) finish() {
+	t.pred.Cycles = maxI64(t.clock, t.maxEvent, t.prevGate)
 	// Conservation: top every lane's ledger up to the final cycle count,
 	// mirroring the simulator's drain accounting.
 	for lane := 0; lane < NumLanes; lane++ {
-		r.chargeStall(lane, r.pred.Cycles, CauseDrain)
+		t.chargeStall(lane, t.pred.Cycles, CauseDrain)
 	}
 }
 
 // Attribution frontiers, verbatim from the simulator's ledger mechanics.
 
-func (r *replay) chargeStall(lane int, t int64, cause Cause) {
-	if t > r.laneTime[lane] {
-		r.pred.Attr.Lanes[lane].Stalls[cause] += t - r.laneTime[lane]
-		r.laneTime[lane] = t
+func (t *timer) chargeStall(lane int, at int64, cause Cause) {
+	if at > t.laneTime[lane] {
+		t.pred.Attr.Lanes[lane].Stalls[cause] += at - t.laneTime[lane]
+		t.laneTime[lane] = at
 	}
 }
 
-func (r *replay) chargeIssue(lane int, t int64) {
-	if t > r.laneTime[lane] {
-		r.pred.Attr.Lanes[lane].Issue += t - r.laneTime[lane]
-		r.laneTime[lane] = t
+func (t *timer) chargeIssue(lane int, at int64) {
+	if at > t.laneTime[lane] {
+		t.pred.Attr.Lanes[lane].Issue += at - t.laneTime[lane]
+		t.laneTime[lane] = at
 	}
 }
 
-func (r *replay) tickASU(n int64) {
-	r.clock += n
-	r.chargeIssue(LaneASU, r.clock)
+func (t *timer) tickASU(n int64) {
+	t.clock += n
+	t.chargeIssue(LaneASU, t.clock)
+}
+
+// tickOp charges every timer one scalar operation.
+func (w *walk) tickOp() {
+	for _, t := range w.timers {
+		t.tickASU(int64(t.cfg.ScalarOpLat))
+	}
 }
 
 // waitScalar delays the ASU until a vector-produced scalar is available.
-func (r *replay) waitScalar(reg isa.Reg) {
-	if reg.Class == isa.ClassS && r.sReady[reg.N] > r.clock {
-		r.clock = r.sReady[reg.N]
-		r.chargeStall(LaneASU, r.clock, CauseChain)
+func (w *walk) waitScalar(reg isa.Reg) {
+	if reg.Class != isa.ClassS {
+		return
+	}
+	for _, t := range w.timers {
+		t.waitScalar(reg.N)
 	}
 }
 
-// closeChime retires the forming chime, fixing the gate before which the
-// next chime may not stream and bounding ASU runahead to one chime.
-func (r *replay) closeChime(split bool) {
-	cur, ok := r.builder.Flush()
-	if !ok {
-		r.chimeMemStall = 0
-		return
+func (t *timer) waitScalar(n int) {
+	if t.sReady[n] > t.clock {
+		t.clock = t.sReady[n]
+		t.chargeStall(LaneASU, t.clock, CauseChain)
 	}
-	r.pred.Chimes++
-	cost := cur.ZMax * float64(r.chimeVL)
-	if r.cfg.Rules.Bubbles {
+}
+
+// closeChime retires the forming chime on the walk and every timer.
+func (w *walk) closeChime(split bool) {
+	span, ok := w.flushChime()
+	for _, t := range w.timers {
+		t.closeChime(span, ok, split)
+	}
+}
+
+// flushChime retires the forming chime on the walk's side and returns its
+// stream span — Z_max·VL plus, under the bubble rule, the members'
+// bubbles, rounded up. ok is false when no chime was forming.
+func (w *walk) flushChime() (span int64, ok bool) {
+	cur, ok := w.builder.Flush()
+	if !ok {
+		return 0, false
+	}
+	w.chimes++
+	cost := cur.ZMax * float64(w.chimeVL)
+	if w.rules.Bubbles {
 		cost += float64(cur.SumB)
 	}
-	r.prevGate = r.chimeStart + int64(math.Ceil(cost)) + r.chimeMemStall
-	r.prevGateSplit = split
-	if r.prevGate > r.maxEvent {
-		r.maxEvent = r.prevGate
+	w.chimeID++
+	w.chimeVL = 0
+	return int64(math.Ceil(cost)), true
+}
+
+// closeChime fixes the gate before which the next chime may not stream
+// and bounds ASU runahead to one chime.
+func (t *timer) closeChime(span int64, ok, split bool) {
+	if !ok {
+		t.chimeMemStall = 0
+		return
 	}
-	r.lastChimeStart = r.chimeStart
-	if r.clock < r.lastChimeStart {
-		r.clock = r.lastChimeStart
+	t.prevGate = t.chimeStart + span + t.chimeMemStall
+	t.prevGateSplit = split
+	if t.prevGate > t.maxEvent {
+		t.maxEvent = t.prevGate
+	}
+	t.lastChimeStart = t.chimeStart
+	if t.clock < t.lastChimeStart {
+		t.clock = t.lastChimeStart
 		cause := CauseChimeSync
 		if split {
 			cause = CauseChimeSplit
 		}
-		r.chargeStall(LaneASU, r.clock, cause)
+		t.chargeStall(LaneASU, t.clock, cause)
 	}
-	r.chimeID++
-	r.chimeMemStall = 0
-	r.chimeVL = 0
+	t.chimeMemStall = 0
 }
 
 // effAddr resolves a memory operand. known is false when the base
 // register's value carries unmodeled data.
-func (r *replay) effAddr(o isa.Operand) (addr int64, known bool, err error) {
+func (w *walk) effAddr(o isa.Operand) (addr int64, known bool, err error) {
 	addr = o.Disp
 	known = true
 	if o.Sym != "" {
-		base, ok := r.layout.Addr(o.Sym)
+		base, ok := w.layout.Addr(o.Sym)
 		if !ok {
 			return 0, false, fmt.Errorf("undefined symbol %q", o.Sym)
 		}
 		addr += base
 	}
 	if o.Base.Class == isa.ClassA {
-		addr += r.a[o.Base.N]
-		known = known && r.aKnown[o.Base.N]
+		addr += w.a[o.Base.N]
+		known = known && w.aKnown[o.Base.N]
 	}
 	return addr, known, nil
 }
@@ -368,64 +531,62 @@ func (r *replay) effAddr(o isa.Operand) (addr int64, known bool, err error) {
 // cellVal reads one integer memory word: primed or stored words return
 // their value, unmarked words read zero (the simulator's zeroed image),
 // and words holding floating-point data are unknown.
-func (r *replay) cellVal(addr int64) (int64, bool) {
-	if r.unknownCells[addr] {
+func (w *walk) cellVal(addr int64) (int64, bool) {
+	if w.unknownCells[addr] {
 		return 0, false
 	}
-	return r.cells[addr], true
+	return w.cells[addr], true
 }
 
-func (r *replay) setCell(addr, v int64, known bool) {
+func (w *walk) setCell(addr, v int64, known bool) {
 	if known {
-		r.cells[addr] = v
-		delete(r.unknownCells, addr)
+		w.cells[addr] = v
+		delete(w.unknownCells, addr)
 		return
 	}
-	delete(r.cells, addr)
-	r.unknownCells[addr] = true
+	delete(w.cells, addr)
+	w.unknownCells[addr] = true
 }
 
 // intVal reads an operand as an integer plus its known bit.
-func (r *replay) intVal(o isa.Operand) (v int64, known bool, err error) {
+func (w *walk) intVal(o isa.Operand) (v int64, known bool, err error) {
 	switch o.Kind {
 	case isa.KindImm:
 		return o.Imm, true, nil
 	case isa.KindReg:
 		switch o.Reg.Class {
 		case isa.ClassA:
-			return r.a[o.Reg.N], r.aKnown[o.Reg.N], nil
+			return w.a[o.Reg.N], w.aKnown[o.Reg.N], nil
 		case isa.ClassS:
-			r.waitScalar(o.Reg)
-			return r.s[o.Reg.N], r.sKnown[o.Reg.N], nil
+			w.waitScalar(o.Reg)
+			return w.s[o.Reg.N], w.sKnown[o.Reg.N], nil
 		case isa.ClassVL:
-			return int64(r.vl), r.vlKnown, nil
+			return int64(w.vl), true, nil
 		case isa.ClassVS:
-			return r.vs, r.vsKnown, nil
+			return w.vs, true, nil
 		}
 	}
 	return 0, false, fmt.Errorf("operand %s is not an integer source", o)
 }
 
-func (r *replay) setIntReg(reg isa.Reg, v int64, known bool) error {
+func (w *walk) setIntReg(reg isa.Reg, v int64, known bool) error {
 	switch reg.Class {
 	case isa.ClassA:
-		r.a[reg.N] = v
-		r.aKnown[reg.N] = known
+		w.a[reg.N] = v
+		w.aKnown[reg.N] = known
 	case isa.ClassS:
-		r.s[reg.N] = v
-		r.sKnown[reg.N] = known
+		w.s[reg.N] = v
+		w.sKnown[reg.N] = known
 	case isa.ClassVL:
 		if !known {
 			return fmt.Errorf("vector length set from unmodeled data: %w", ErrDataDependent)
 		}
-		r.vl = int(clampI64(v, 0, int64(r.cfg.VLMax)))
-		r.vlKnown = true
+		w.vl = int(clampI64(v, 0, int64(w.vlMax)))
 	case isa.ClassVS:
 		if !known {
 			return fmt.Errorf("vector stride set from unmodeled data: %w", ErrDataDependent)
 		}
-		r.vs = v
-		r.vsKnown = true
+		w.vs = v
 	default:
 		return fmt.Errorf("cannot write integer to %s", reg)
 	}
@@ -434,151 +595,167 @@ func (r *replay) setIntReg(reg isa.Reg, v int64, known bool) error {
 
 // execScalar replays one ASU instruction: exact latency accounting, with
 // integer effects tracked symbolically and float effects dropped.
-func (r *replay) execScalar(in isa.Instr) (jumped bool, err error) {
+func (w *walk) execScalar(in *isa.Instr) (jumped bool, err error) {
 	switch in.Op {
 	case isa.OpNop:
-		r.tickASU(int64(r.cfg.ScalarOpLat))
+		w.tickOp()
 		return false, nil
 	case isa.OpMov:
 		if len(in.Ops) != 2 {
 			return false, fmt.Errorf("mov needs 2 operands")
 		}
-		r.tickASU(int64(r.cfg.ScalarOpLat))
+		w.tickOp()
 		dst := in.Ops[1].Reg
 		if in.Suffix == isa.SufD && dst.Class == isa.ClassS && in.Ops[0].Kind == isa.KindReg && in.Ops[0].Reg.Class == isa.ClassS {
 			src := in.Ops[0].Reg
-			r.waitScalar(src)
-			r.s[dst.N], r.sKnown[dst.N] = r.s[src.N], r.sKnown[src.N]
+			w.waitScalar(src)
+			w.s[dst.N], w.sKnown[dst.N] = w.s[src.N], w.sKnown[src.N]
 			return false, nil
 		}
-		v, known, err := r.intVal(in.Ops[0])
+		v, known, err := w.intVal(in.Ops[0])
 		if err != nil {
 			return false, err
 		}
-		return false, r.setIntReg(dst, v, known)
+		return false, w.setIntReg(dst, v, known)
 	case isa.OpLd:
-		return false, r.scalarLoad(in)
+		return false, w.scalarLoad(in)
 	case isa.OpSt:
-		return false, r.scalarStore(in)
+		return false, w.scalarStore(in)
 	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpNeg, isa.OpAnd, isa.OpOr, isa.OpShf:
-		return false, r.scalarALU(in)
+		return false, w.scalarALU(in)
 	case isa.OpLe, isa.OpLt, isa.OpGt, isa.OpGe, isa.OpEq, isa.OpNe:
-		return false, r.scalarCompare(in)
+		return false, w.scalarCompare(in)
 	case isa.OpJmp:
-		r.tickASU(int64(r.cfg.ScalarOpLat + r.cfg.BranchPenalty))
-		r.closeChime(false)
-		return true, r.jumpTo(in)
+		for _, t := range w.timers {
+			t.tickASU(int64(t.cfg.ScalarOpLat + t.cfg.BranchPenalty))
+		}
+		w.closeChime(false)
+		return true, w.jumpTo(in)
 	case isa.OpJbrs:
-		r.tickASU(int64(r.cfg.ScalarOpLat))
-		if !r.tfKnown {
-			if !r.forking {
+		w.tickOp()
+		if !w.tfKnown {
+			if !w.forking {
 				return false, fmt.Errorf("branch on unmodeled comparison: %w", ErrDataDependent)
 			}
-			if r.decisionIdx >= len(r.decisions) {
+			if w.decisionIdx >= len(w.decisions) {
 				return false, errNeedDecision
 			}
 			// Adopt the scripted outcome as the T value so later branches
 			// on the same (unrewritten) flag stay path-consistent.
-			r.tf, r.tfKnown = r.decisions[r.decisionIdx], true
-			r.decisionIdx++
+			w.tf, w.tfKnown = w.decisions[w.decisionIdx], true
+			w.decisionIdx++
 		}
-		take := r.tf
+		take := w.tf
 		if in.Suffix == isa.SufF {
 			take = !take
 		}
 		if !take {
 			return false, nil
 		}
-		r.tickASU(int64(r.cfg.BranchPenalty))
-		r.closeChime(false)
-		return true, r.jumpTo(in)
+		for _, t := range w.timers {
+			t.tickASU(int64(t.cfg.BranchPenalty))
+		}
+		w.closeChime(false)
+		return true, w.jumpTo(in)
 	case isa.OpSum, isa.OpSqrt, isa.OpCvt:
 		return false, fmt.Errorf("%s has no scalar form in this subset", in.Op)
 	}
 	return false, fmt.Errorf("unreplayed scalar op %s", in.Op)
 }
 
-func (r *replay) jumpTo(in isa.Instr) error {
+func (w *walk) jumpTo(in *isa.Instr) error {
 	for _, o := range in.Ops {
 		if o.Kind == isa.KindLabel {
-			idx, ok := r.prog.Labels[o.Label]
+			idx, ok := w.prog.Labels[o.Label]
 			if !ok {
 				return fmt.Errorf("undefined label %q", o.Label)
 			}
-			r.pc = idx
+			w.pc = idx
 			return nil
 		}
 	}
 	return fmt.Errorf("branch without label")
 }
 
-// scalarMemStart delays a scalar access while vector traffic holds the
-// single CPU port, and notifies the chime builder (split rule).
-func (r *replay) scalarMemStart() int64 {
-	start := r.clock
-	if r.vectorPortFree > start {
-		start = r.vectorPortFree
-		r.pred.PortConflicts++
-		r.chargeStall(LaneASU, start, CausePortArb)
+// scalarMem times one scalar memory access on every timer: a wait while
+// vector traffic holds the single CPU port, the split rule's chime close,
+// then the access latency. sdst is the S register a load writes, or -1.
+func (w *walk) scalarMem(sdst int) {
+	// The split rule only terminates a chime holding a vector memory
+	// access, so a split always flushes a formed chime.
+	split := w.builder.NoteScalarMem()
+	var span int64
+	if split {
+		span, _ = w.flushChime()
 	}
-	if r.builder.NoteScalarMem() {
-		r.closeChime(true)
+	for _, t := range w.timers {
+		start := t.clock
+		if t.vectorPortFree > start {
+			start = t.vectorPortFree
+			t.pred.PortConflicts++
+			t.chargeStall(LaneASU, start, CausePortArb)
+		}
+		if split {
+			t.closeChime(span, true, true)
+		}
+		t.clock = start + t.scalarMemLat()
+		t.chargeIssue(LaneASU, t.clock)
+		t.scalarPortFree = t.clock
+		if sdst >= 0 {
+			t.sReady[sdst] = t.clock
+		}
 	}
-	return start
 }
 
-func (r *replay) scalarMemLat() int64 {
-	lat := float64(r.cfg.ScalarLoadLat)
-	if r.cfg.MemSlowdown > 1 {
-		lat *= r.cfg.MemSlowdown
+func (t *timer) scalarMemLat() int64 {
+	lat := float64(t.cfg.ScalarLoadLat)
+	if t.cfg.MemSlowdown > 1 {
+		lat *= t.cfg.MemSlowdown
 	}
 	return int64(math.Ceil(lat))
 }
 
-func (r *replay) scalarLoad(in isa.Instr) error {
+func (w *walk) scalarLoad(in *isa.Instr) error {
 	if len(in.Ops) != 2 {
 		return fmt.Errorf("scalar load needs 2 operands")
 	}
-	addr, addrKnown, err := r.effAddr(in.Ops[0])
+	addr, addrKnown, err := w.effAddr(in.Ops[0])
 	if err != nil {
 		return err
 	}
-	start := r.scalarMemStart()
-	r.clock = start + r.scalarMemLat()
-	r.chargeIssue(LaneASU, r.clock)
-	r.scalarPortFree = r.clock
+	dst := in.Ops[1].Reg
+	if dst.Class != isa.ClassA && dst.Class != isa.ClassS {
+		return fmt.Errorf("bad scalar load destination %s", dst)
+	}
+	sdst := -1
+	if dst.Class == isa.ClassS {
+		sdst = dst.N
+	}
+	w.scalarMem(sdst)
 	var v int64
 	known := false
 	// A floating-point load produces a real value the fast tier does not
 	// carry; only integer loads read the symbolic cell map.
 	if addrKnown && in.Suffix != isa.SufD && in.Suffix != isa.SufS {
-		v, known = r.cellVal(addr)
+		v, known = w.cellVal(addr)
 	}
-	dst := in.Ops[1].Reg
-	switch dst.Class {
-	case isa.ClassA:
-		r.a[dst.N], r.aKnown[dst.N] = v, known
-	case isa.ClassS:
-		r.s[dst.N], r.sKnown[dst.N] = v, known
-		r.sReady[dst.N] = r.clock
-	default:
-		return fmt.Errorf("bad scalar load destination %s", dst)
+	if dst.Class == isa.ClassA {
+		w.a[dst.N], w.aKnown[dst.N] = v, known
+	} else {
+		w.s[dst.N], w.sKnown[dst.N] = v, known
 	}
 	return nil
 }
 
-func (r *replay) scalarStore(in isa.Instr) error {
+func (w *walk) scalarStore(in *isa.Instr) error {
 	if len(in.Ops) != 2 {
 		return fmt.Errorf("scalar store needs 2 operands")
 	}
-	addr, addrKnown, err := r.effAddr(in.Ops[1])
+	addr, addrKnown, err := w.effAddr(in.Ops[1])
 	if err != nil {
 		return err
 	}
-	start := r.scalarMemStart()
-	r.clock = start + r.scalarMemLat()
-	r.chargeIssue(LaneASU, r.clock)
-	r.scalarPortFree = r.clock
+	w.scalarMem(-1)
 	if !addrKnown {
 		// A store to an unresolvable address could alias any integer
 		// cell the replay later reads; refuse rather than guess.
@@ -590,18 +767,18 @@ func (r *replay) scalarStore(in isa.Instr) error {
 	floatStore := in.Suffix == isa.SufD || in.Suffix == isa.SufS
 	switch src.Class {
 	case isa.ClassA:
-		r.setCell(addr, r.a[src.N], r.aKnown[src.N] && !floatStore)
+		w.setCell(addr, w.a[src.N], w.aKnown[src.N] && !floatStore)
 		return nil
 	case isa.ClassS:
-		r.waitScalar(src)
-		r.setCell(addr, r.s[src.N], r.sKnown[src.N] && !floatStore)
+		w.waitScalar(src)
+		w.setCell(addr, w.s[src.N], w.sKnown[src.N] && !floatStore)
 		return nil
 	}
 	return fmt.Errorf("bad scalar store source %s", src)
 }
 
-func (r *replay) scalarALU(in isa.Instr) error {
-	r.tickASU(int64(r.cfg.ScalarOpLat))
+func (w *walk) scalarALU(in *isa.Instr) error {
+	w.tickOp()
 	var dst isa.Reg
 	switch len(in.Ops) {
 	case 2:
@@ -615,17 +792,17 @@ func (r *replay) scalarALU(in isa.Instr) error {
 		// Floating-point result: honor the timing side effects (waits on
 		// vector-produced scalars) and mark the destination unmodeled.
 		for _, o := range in.Ops[:len(in.Ops)-1] {
-			if o.Kind == isa.KindReg && o.Reg.Class == isa.ClassS {
-				r.waitScalar(o.Reg)
+			if o.Kind == isa.KindReg {
+				w.waitScalar(o.Reg)
 			}
 		}
 		if len(in.Ops) == 2 && in.Op != isa.OpNeg {
-			r.waitScalar(dst) // two-operand form reads the destination
+			w.waitScalar(dst) // two-operand form reads the destination
 		}
 		if dst.Class != isa.ClassS {
 			return fmt.Errorf("cannot write float to %s", dst)
 		}
-		r.s[dst.N], r.sKnown[dst.N] = 0, false
+		w.s[dst.N], w.sKnown[dst.N] = 0, false
 		return nil
 	}
 	var x, y int64
@@ -633,38 +810,38 @@ func (r *replay) scalarALU(in isa.Instr) error {
 	var err error
 	if len(in.Ops) == 2 {
 		if in.Op == isa.OpNeg {
-			x, xk, err = r.intVal(in.Ops[0])
+			x, xk, err = w.intVal(in.Ops[0])
 			if err != nil {
 				return err
 			}
-			return r.setIntReg(dst, -x, xk)
+			return w.setIntReg(dst, -x, xk)
 		}
-		x, xk, err = r.intVal(isa.RegOp(dst))
+		x, xk, err = w.intVal(isa.RegOp(dst))
 		if err != nil {
 			return err
 		}
-		y, yk, err = r.intVal(in.Ops[0])
+		y, yk, err = w.intVal(in.Ops[0])
 		if err != nil {
 			return err
 		}
 	} else {
-		x, xk, err = r.intVal(in.Ops[0])
+		x, xk, err = w.intVal(in.Ops[0])
 		if err != nil {
 			return err
 		}
-		y, yk, err = r.intVal(in.Ops[1])
+		y, yk, err = w.intVal(in.Ops[1])
 		if err != nil {
 			return err
 		}
 	}
 	if !xk || !yk {
-		return r.setIntReg(dst, 0, false)
+		return w.setIntReg(dst, 0, false)
 	}
 	v, err := intALU(in.Op, x, y)
 	if err != nil {
 		return err
 	}
-	return r.setIntReg(dst, v, true)
+	return w.setIntReg(dst, v, true)
 }
 
 func intALU(op isa.Op, x, y int64) (int64, error) {
@@ -693,30 +870,30 @@ func intALU(op isa.Op, x, y int64) (int64, error) {
 	return 0, fmt.Errorf("no integer form for %s", op)
 }
 
-func (r *replay) scalarCompare(in isa.Instr) error {
+func (w *walk) scalarCompare(in *isa.Instr) error {
 	if len(in.Ops) != 2 {
 		return fmt.Errorf("compare needs 2 operands")
 	}
-	r.tickASU(int64(r.cfg.ScalarOpLat))
+	w.tickOp()
 	if in.Suffix == isa.SufD || in.Suffix == isa.SufS {
 		for _, o := range in.Ops {
-			if o.Kind == isa.KindReg && o.Reg.Class == isa.ClassS {
-				r.waitScalar(o.Reg)
+			if o.Kind == isa.KindReg {
+				w.waitScalar(o.Reg)
 			}
 		}
-		r.tfKnown = false
+		w.tfKnown = false
 		return nil
 	}
-	x, xk, err := r.intVal(in.Ops[0])
+	x, xk, err := w.intVal(in.Ops[0])
 	if err != nil {
 		return err
 	}
-	y, yk, err := r.intVal(in.Ops[1])
+	y, yk, err := w.intVal(in.Ops[1])
 	if err != nil {
 		return err
 	}
 	if !xk || !yk {
-		r.tfKnown = false
+		w.tfKnown = false
 		return nil
 	}
 	var cmp int
@@ -728,60 +905,137 @@ func (r *replay) scalarCompare(in isa.Instr) error {
 	}
 	switch in.Op {
 	case isa.OpLe:
-		r.tf = cmp <= 0
+		w.tf = cmp <= 0
 	case isa.OpLt:
-		r.tf = cmp < 0
+		w.tf = cmp < 0
 	case isa.OpGt:
-		r.tf = cmp > 0
+		w.tf = cmp > 0
 	case isa.OpGe:
-		r.tf = cmp >= 0
+		w.tf = cmp >= 0
 	case isa.OpEq:
-		r.tf = cmp == 0
+		w.tf = cmp == 0
 	case isa.OpNe:
-		r.tf = cmp != 0
+		w.tf = cmp != 0
 	}
-	r.tfKnown = true
+	w.tfKnown = true
 	return nil
 }
 
-// execVector replays one vector instruction's stream timing under the
-// chime model — the simulator's execVector minus every element.
-func (r *replay) execVector(in isa.Instr) error {
-	t, ok := isa.VectorTiming(in.Op)
+// execVector decodes one vector instruction — the simulator's execVector
+// minus every element and every clock — and times it on every timer.
+func (w *walk) execVector(in *isa.Instr) error {
+	t, ok := vectorTiming(in.Op)
 	if !ok {
 		return fmt.Errorf("no vector form for %s", in.Op)
 	}
+	op := &w.op
+	op.timing = t
+	op.vl = w.vl
+	op.waits = op.wbuf[:0]
 	var regs [8]isa.Reg // decode buffer, see isa.Instr.AppendSources
 	for _, reg := range in.AppendSources(regs[:0]) {
 		if reg.Class == isa.ClassS {
-			r.waitScalar(reg)
+			op.waits = append(op.waits, reg.N)
 		}
 	}
-	r.clock += int64(r.cfg.DispatchLat)
-	r.chargeIssue(LaneASU, r.clock)
-	dispatchDone := r.clock
-
-	if !r.vlKnown {
-		return fmt.Errorf("vector length unknown: %w", ErrDataDependent)
-	}
-	vl := r.vl
-	if vl <= 0 {
-		r.clock += int64(t.X)
-		r.chargeStall(LaneASU, r.clock, CauseStartup)
+	if op.vl <= 0 {
+		for _, tm := range w.timers {
+			tm.vectorIdle(op)
+		}
 		return nil
 	}
 
-	if !r.builder.Fits(in) {
-		r.closeChime(false)
+	// Fits accepts anything into an empty chime, so a closing instruction
+	// always flushes a formed one.
+	op.closes = !w.builder.Fits(*in)
+	if op.closes {
+		op.span, _ = w.flushChime()
 	}
-	newChime := r.builder.Empty()
-	r.builder.Add(in)
-	if vl > r.chimeVL {
-		r.chimeVL = vl
+	op.newChime = w.builder.Empty()
+	w.builder.Add(*in)
+	if op.vl > w.chimeVL {
+		w.chimeVL = op.vl
+	}
+	op.pipe = in.Op.Pipe() // in is a vector instruction
+
+	op.chains = op.cbuf[:0]
+	for _, reg := range in.AppendVectorReads(regs[:0]) {
+		p := w.vw[reg.N]
+		if !p.valid {
+			continue
+		}
+		d := chainDep{reg: reg.N}
+		if p.chime == w.chimeID && w.rules.Chaining {
+			d.chained = true
+			d.lag = int64(p.y)
+			if p.z > t.Z {
+				d.lag += int64(math.Ceil((p.z - t.Z) * float64(op.vl-1)))
+			}
+		}
+		op.chains = append(op.chains, d)
 	}
 
-	// Stream entry time S with chronological attribution checkpoints,
-	// exactly as the simulator computes it.
+	op.mem = in.IsMemory()
+	if op.mem {
+		ea, err := w.vectorEA(in)
+		if err != nil {
+			return err
+		}
+		op.ea, op.stride = ea, w.vs
+	}
+	op.streamIn = int64(math.Ceil(t.Z * float64(op.vl)))
+	op.write = -1
+	if d, ok := in.VectorWrite(); ok {
+		op.write = d.N
+	}
+	op.sum = -1
+	if in.Op == isa.OpSum {
+		if d, ok := in.Dst(); ok && d.Class == isa.ClassS {
+			op.sum = d.N
+		}
+	}
+
+	for _, tm := range w.timers {
+		tm.vector(op)
+	}
+
+	if op.write >= 0 {
+		w.vw[op.write] = producer{valid: true, chime: w.chimeID, y: t.Y, z: t.Z}
+	}
+	if op.sum >= 0 {
+		w.s[op.sum], w.sKnown[op.sum] = 0, false
+	}
+	return nil
+}
+
+// dispatch waits for the instruction's scalar sources and dispatches it.
+func (t *timer) dispatch(op *vecOp) int64 {
+	for _, n := range op.waits {
+		t.waitScalar(n)
+	}
+	t.clock += int64(t.cfg.DispatchLat)
+	t.chargeIssue(LaneASU, t.clock)
+	return t.clock
+}
+
+// vectorIdle times a vector instruction issued at zero vector length:
+// dispatch and startup, no stream.
+func (t *timer) vectorIdle(op *vecOp) {
+	t.dispatch(op)
+	t.clock += int64(op.timing.X)
+	t.chargeStall(LaneASU, t.clock, CauseStartup)
+}
+
+// vector replays one vector instruction's stream timing under the chime
+// model, exactly as the simulator computes it.
+func (t *timer) vector(op *vecOp) {
+	dispatchDone := t.dispatch(op)
+	if op.closes {
+		t.closeChime(op.span, true, false)
+	}
+	tm, vl := op.timing, op.vl
+
+	// Stream entry time S with chronological attribution checkpoints.
 	type waitPoint struct {
 		t     int64
 		cause Cause
@@ -789,57 +1043,51 @@ func (r *replay) execVector(in isa.Instr) error {
 	var wbuf [6]waitPoint
 	waits := wbuf[:0]
 
-	s := dispatchDone + int64(t.X)
+	s := dispatchDone + int64(tm.X)
 	waits = append(waits,
 		waitPoint{dispatchDone, CauseScalar},
 		waitPoint{s, CauseStartup})
-	pipe := in.Pipe()
+	pipe := op.pipe
 	lane := int(pipe)
-	pf := r.pipeFree[pipe]
-	if r.cfg.Rules.Bubbles && r.pipeUsed[pipe] {
-		pf += int64(t.B)
+	pf := t.pipeFree[pipe]
+	if t.cfg.Rules.Bubbles && t.pipeUsed[pipe] {
+		pf += int64(tm.B)
 		waits = append(waits, waitPoint{pf, CauseBubble})
 	}
 	if pf > s {
 		s = pf
 	}
-	r.pipeUsed[pipe] = true
+	t.pipeUsed[pipe] = true
 	gateCause := CauseChimeSync
-	if r.prevGateSplit {
+	if t.prevGateSplit {
 		gateCause = CauseChimeSplit
 	}
-	if newChime {
-		waits = append(waits, waitPoint{r.prevGate, gateCause})
-		if r.prevGate > s {
-			s = r.prevGate
+	if op.newChime {
+		waits = append(waits, waitPoint{t.prevGate, gateCause})
+		if t.prevGate > s {
+			s = t.prevGate
 		}
 	} else {
-		waits = append(waits, waitPoint{r.chimeStart, CauseChimeSync})
-		if r.chimeStart > s {
-			s = r.chimeStart
+		waits = append(waits, waitPoint{t.chimeStart, CauseChimeSync})
+		if t.chimeStart > s {
+			s = t.chimeStart
 		}
 	}
 
 	var chainT int64
-	for _, reg := range in.AppendVectorReads(regs[:0]) {
-		w := r.vw[reg.N]
-		if !w.valid {
-			continue
-		}
-		if w.chime == r.chimeID && r.cfg.Rules.Chaining {
-			dep := w.start + int64(w.y)
-			if w.z > t.Z {
-				dep += int64(math.Ceil((w.z - t.Z) * float64(vl-1)))
-			}
+	for _, d := range op.chains {
+		v := t.vw[d.reg]
+		if d.chained {
+			dep := v.start + d.lag
 			if dep > chainT {
 				chainT = dep
 			}
 			if dep > s {
 				s = dep
 			}
-		} else if w.fin > s {
-			chainT = w.fin
-			s = w.fin
+		} else if v.fin > s {
+			chainT = v.fin
+			s = v.fin
 		}
 	}
 	if chainT > 0 {
@@ -847,24 +1095,17 @@ func (r *replay) execVector(in isa.Instr) error {
 	}
 
 	var stBank, stRefresh, stContention int64
-	if in.IsMemory() {
-		ea, err := r.vectorEA(in)
-		if err != nil {
-			return err
+	if op.mem {
+		if t.scalarPortFree > s {
+			t.pred.PortConflicts++
 		}
-		if r.scalarPortFree > s {
-			r.pred.PortConflicts++
+		waits = append(waits, waitPoint{t.scalarPortFree, CausePortArb})
+		if t.scalarPortFree > s {
+			s = t.scalarPortFree
 		}
-		waits = append(waits, waitPoint{r.scalarPortFree, CausePortArb})
-		if r.scalarPortFree > s {
-			s = r.scalarPortFree
-		}
-		stBank, stRefresh, stContention, err = r.memStreamStall(s, ea, vl)
-		if err != nil {
-			return err
-		}
-		r.chimeMemStall += stBank + stRefresh + stContention
-		r.pred.MemStalls += stBank + stRefresh + stContention
+		stBank, stRefresh, stContention = t.memStreamStall(s, op.ea, op.stride, vl)
+		t.chimeMemStall += stBank + stRefresh + stContention
+		t.pred.MemStalls += stBank + stRefresh + stContention
 	}
 	stall := stBank + stRefresh + stContention
 
@@ -878,45 +1119,40 @@ func (r *replay) execVector(in isa.Instr) error {
 		if wt > s {
 			wt = s
 		}
-		r.chargeStall(lane, wt, w.cause)
+		t.chargeStall(lane, wt, w.cause)
 	}
 
-	if newChime {
-		r.chimeStart = s
+	if op.newChime {
+		t.chimeStart = s
 	}
 
-	streamIn := int64(math.Ceil(t.Z * float64(vl)))
-	streamEnd := s + streamIn
-	r.chargeIssue(lane, streamEnd)
-	r.chargeStall(lane, streamEnd+stBank, CauseBankConflict)
-	r.chargeStall(lane, streamEnd+stBank+stRefresh, CauseRefresh)
-	r.chargeStall(lane, streamEnd+stall, CauseContention)
-	r.pipeFree[pipe] = s + streamIn + stall
-	fin := s + int64(t.Y) + streamIn + stall
-	if fin > r.maxEvent {
-		r.maxEvent = fin
+	streamEnd := s + op.streamIn
+	t.chargeIssue(lane, streamEnd)
+	t.chargeStall(lane, streamEnd+stBank, CauseBankConflict)
+	t.chargeStall(lane, streamEnd+stBank+stRefresh, CauseRefresh)
+	t.chargeStall(lane, streamEnd+stall, CauseContention)
+	t.pipeFree[pipe] = s + op.streamIn + stall
+	fin := s + int64(tm.Y) + op.streamIn + stall
+	if fin > t.maxEvent {
+		t.maxEvent = fin
 	}
-	if in.IsMemory() && fin > r.vectorPortFree {
-		r.vectorPortFree = fin
+	if op.mem && fin > t.vectorPortFree {
+		t.vectorPortFree = fin
 	}
-	if d, ok := in.VectorWrite(); ok {
-		r.vw[d.N] = vwriter{valid: true, chime: r.chimeID, start: s, y: t.Y, z: t.Z, fin: fin}
+	if op.write >= 0 {
+		t.vw[op.write].start, t.vw[op.write].fin = s, fin
 	}
-	if in.Op == isa.OpSum {
-		if d, ok := in.Dst(); ok && d.Class == isa.ClassS {
-			r.sReady[d.N] = fin
-			r.s[d.N], r.sKnown[d.N] = 0, false
-		}
+	if op.sum >= 0 {
+		t.sReady[op.sum] = fin
 	}
-	return nil
 }
 
 // vectorEA resolves the memory operand of a vector load or store; the
 // fast tier needs the exact address for bank-phase math.
-func (r *replay) vectorEA(in isa.Instr) (int64, error) {
+func (w *walk) vectorEA(in *isa.Instr) (int64, error) {
 	for _, o := range in.Ops {
 		if o.Kind == isa.KindMem {
-			addr, known, err := r.effAddr(o)
+			addr, known, err := w.effAddr(o)
 			if err != nil {
 				return 0, err
 			}
@@ -932,24 +1168,36 @@ func (r *replay) vectorEA(in isa.Instr) (int64, error) {
 // memStreamStall prices one vector memory stream: bank and refresh stalls
 // from the memoized stall table, plus the multi-process contention
 // surcharge. The same decomposition as the simulator's standalone path.
-func (r *replay) memStreamStall(start, base int64, vl int) (bank, refresh, contention int64, err error) {
-	stride := r.vs
-	if !r.vsKnown {
-		if r.cfg.BankConflicts {
-			return 0, 0, 0, fmt.Errorf("vector stride unknown: %w", ErrDataDependent)
-		}
+func (t *timer) memStreamStall(start, base, stride int64, vl int) (bank, refresh, contention int64) {
+	if !t.cfg.BankConflicts {
 		stride = isa.WordBytes
 	}
-	if !r.cfg.BankConflicts {
-		stride = isa.WordBytes
+	if t.stallTab != nil {
+		bank, refresh = t.stallTab.StreamStallParts(start, base, stride, vl)
 	}
-	if r.stallTab != nil {
-		bank, refresh = r.stallTab.StreamStallParts(start, base, stride, vl)
+	if t.cfg.MemSlowdown > 1 {
+		contention = int64(math.Ceil((t.cfg.MemSlowdown - 1) * float64(vl)))
 	}
-	if r.cfg.MemSlowdown > 1 {
-		contention = int64(math.Ceil((r.cfg.MemSlowdown - 1) * float64(vl)))
+	return bank, refresh, contention
+}
+
+// vectorTimings caches isa.VectorTiming by opcode: the walk looks it up
+// once per dynamic vector instruction.
+var vectorTimings = func() (tab [isa.OpHalt + 1]struct {
+	t  isa.Timing
+	ok bool
+}) {
+	for op := range tab {
+		tab[op].t, tab[op].ok = isa.VectorTiming(isa.Op(op))
 	}
-	return bank, refresh, contention, nil
+	return tab
+}()
+
+func vectorTiming(op isa.Op) (isa.Timing, bool) {
+	if op < 0 || int(op) >= len(vectorTimings) {
+		return isa.VectorTiming(op)
+	}
+	return vectorTimings[op].t, vectorTimings[op].ok
 }
 
 func clampI64(v, lo, hi int64) int64 {
