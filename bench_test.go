@@ -325,7 +325,7 @@ func BenchmarkLFKNaive(b *testing.B) {
 // serving speedup over pooled simulation; benchgate gates its floor.
 // BenchmarkFastTierCold is the first-sight cost.
 func BenchmarkFastTier(b *testing.B) {
-	pred := fasttier.NewPredictor(calib.FastTierConfig(vm.DefaultConfig()))
+	pred := fasttier.NewPredictor(vm.DefaultConfig())
 	for _, k := range lfk.All() {
 		k := k
 		b.Run(fmt.Sprintf("lfk%d", k.ID), func(b *testing.B) {
@@ -356,7 +356,7 @@ func BenchmarkFastTier(b *testing.B) {
 // fresh predictor — empty memo, cold stream-stall table — replays the
 // schedule from scratch every iteration.
 func BenchmarkFastTierCold(b *testing.B) {
-	cfg := calib.FastTierConfig(vm.DefaultConfig())
+	cfg := vm.DefaultConfig()
 	for _, k := range lfk.All() {
 		k := k
 		b.Run(fmt.Sprintf("lfk%d", k.ID), func(b *testing.B) {

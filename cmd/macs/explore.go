@@ -147,7 +147,7 @@ func cmdExplore(w io.Writer, args []string) error {
 			best := sw.Best()
 			if best.Stats != nil {
 				fmt.Fprintf(w, "\nwinner %s:\n", report.MachineLabel(best.Machine, ref))
-				fmt.Fprint(w, report.AttributionTable(*best.Stats))
+				fmt.Fprint(w, report.AttributionTable("Stall attribution", best.Stats.Attr, best.Stats.Cycles))
 			}
 		}
 	}

@@ -16,10 +16,11 @@
 //	             [-trace out.json]
 //	                               serve through a selectable tier: exact
 //	                               simulates, fast predicts analytically in
-//	                               microseconds, auto does both and reports
-//	                               the divergence; -trace writes the
-//	                               pipeline spans merged with the simulator
-//	                               lanes as one Chrome trace_event timeline
+//	                               microseconds, auto does both and fails
+//	                               unless they agree to the cycle; -trace
+//	                               writes the pipeline spans merged with the
+//	                               simulator lanes as one Chrome
+//	                               trace_event timeline
 //	macs attr    <kernel.f> [-n N] [-trace out.json] [-ring N]
 //	                               simulate and print the per-lane stall
 //	                               attribution table; -trace writes the
@@ -272,8 +273,8 @@ func cmdSim(w io.Writer, args []string) error {
 
 // cmdAnalyze serves a kernel through a selectable tier: "exact" simulates
 // (like sim), "fast" predicts analytically in microseconds, "auto" serves
-// the fast prediction and then verifies it against the simulator,
-// reporting the divergence.
+// the fast prediction and then verifies it against the simulator: a
+// single-path prediction must match the simulated cycle count exactly.
 func cmdAnalyze(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	tierName := fs.String("tier", "exact", "serving tier: exact, fast or auto")
@@ -319,7 +320,7 @@ func cmdAnalyze(w io.Writer, args []string) error {
 		fmt.Fprintf(w, "tier: fast (%s)\n", time.Since(start).Round(time.Microsecond))
 		fmt.Fprint(w, fr.Report())
 		fmt.Fprintln(w)
-		fmt.Fprint(w, report.PredictionTable(fr.Prediction))
+		fmt.Fprint(w, report.AttributionTable("Predicted stall attribution", fr.Prediction.Attr, fr.Prediction.Cycles))
 		return fr, nil
 	}
 	runExact := func() (macs.Result, error) {
@@ -382,15 +383,10 @@ func cmdAnalyze(w io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
-		if res.MeasuredCPL > 0 && fr.Prediction.CPL > 0 {
-			rel := (fr.Prediction.CPL - res.MeasuredCPL) / res.MeasuredCPL
-			ok := "within"
-			if rel > fr.Prediction.ErrorBand || rel < -fr.Prediction.ErrorBand {
-				ok = "OUTSIDE"
-			}
-			fmt.Fprintf(w, "divergence: predicted %.3f vs measured %.3f CPL (%+.3f%%, %s the ±%.1f%% band)\n",
-				fr.Prediction.CPL, res.MeasuredCPL, 100*rel, ok, 100*fr.Prediction.ErrorBand)
+		if p := fr.Prediction; p.Cycles != res.Stats.Cycles {
+			return fmt.Errorf("fast tier predicted %d cycles, simulator measured %d", p.Cycles, res.Stats.Cycles)
 		}
+		fmt.Fprintf(w, "agreement: fast tier and simulator both %d cycles (exact)\n", res.Stats.Cycles)
 		return writeTrace()
 	}
 	return fmt.Errorf("unhandled tier %v", tier)
@@ -588,7 +584,7 @@ func cmdAttr(w io.Writer, args []string) error {
 	}
 	fmt.Fprint(w, res.Report())
 	fmt.Fprintln(w)
-	fmt.Fprint(w, report.AttributionTable(res.Stats))
+	fmt.Fprint(w, report.AttributionTable("Stall attribution", res.Stats.Attr, res.Stats.Cycles))
 	if err := res.Stats.Attr.Conserved(res.Stats.Cycles); err != nil {
 		return err
 	}
@@ -622,30 +618,8 @@ func cmdAX(w io.Writer, args []string) error {
 }
 
 func cmdCalib(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("calib", flag.ExitOnError)
-	residuals := fs.String("residuals", "", `fit fast-tier residuals and write the generated Go table to this file ("-" prints to stdout)`)
-	if err := fs.Parse(args); err != nil {
+	if err := flag.NewFlagSet("calib", flag.ExitOnError).Parse(args); err != nil {
 		return err
-	}
-	if *residuals != "" {
-		fits, err := calib.FitResiduals(vm.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		src := calib.RenderResiduals(fits)
-		for _, f := range fits {
-			fmt.Fprintf(os.Stderr, "%-6s class %-12s sim CPL %8.4f  raw %8.4f  scale %.6f\n",
-				f.Kernel, f.Class, f.SimCPL, f.RawCPL, f.Scale)
-		}
-		if *residuals == "-" {
-			fmt.Fprint(w, src)
-			return nil
-		}
-		if err := os.WriteFile(*residuals, []byte(src), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %d signature residuals to %s\n", len(fits), *residuals)
-		return nil
 	}
 	res, err := calib.CalibrateAll(vm.DefaultConfig())
 	if err != nil {
@@ -733,6 +707,6 @@ func cmdLFK(w io.Writer, args []string) error {
 	})
 	fmt.Fprintf(w, "\ndiagnosis:\n%s", diag)
 	fmt.Fprintln(w)
-	fmt.Fprint(w, report.AttributionTable(r.Stats))
+	fmt.Fprint(w, report.AttributionTable("Stall attribution", r.Stats.Attr, r.Stats.Cycles))
 	return nil
 }

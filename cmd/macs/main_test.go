@@ -120,3 +120,24 @@ func TestCmdAttrRingOnly(t *testing.T) {
 		t.Errorf("attr output missing table:\n%s", out.String())
 	}
 }
+
+// TestCmdAnalyzeAutoAgreement: -tier auto runs both tiers and reports
+// that the fast prediction and the simulation agree to the cycle.
+func TestCmdAnalyzeAutoAgreement(t *testing.T) {
+	var out strings.Builder
+	if err := cmdAnalyze(&out, []string{writeKernel(t), "-tier", "auto", "-n", "64", "-ints", "N=64"}); err != nil {
+		t.Fatalf("analyze -tier auto: %v\n%s", err, out.String())
+	}
+	got := out.String()
+	for _, want := range []string{
+		"tier: fast",
+		"predicted t_p = 4.109 CPL (263 cycles, 64 iterations, class c3-m3-f2)",
+		"tier: exact",
+		"measured t_p = 4.109 CPL (263 cycles, 64 iterations)",
+		"agreement: fast tier and simulator both 263 cycles (exact)",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("analyze -tier auto output missing %q\n%s", want, got)
+		}
+	}
+}

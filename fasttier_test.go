@@ -1,7 +1,7 @@
 // Golden and property tests for the analytical fast tier (PR 6).
 //
-//	TestFastTierGoldenLFK          pins predicted CPL + attribution vs sim
-//	TestScheduleIdentityPerProgram signature/class stamped once per program
+//	TestFastTierGoldenLFK          pins prediction == simulation, field by field
+//	TestScheduleIdentityPerProgram class stamped once per program
 //	TestBoundsMonotonicLFK         t_MA <= t_MAC <= t_MACS <= measured CPL
 //	TestBoundsMonotonicRandom      same hierarchy over random stride/VL kernels
 package macs_test
@@ -9,32 +9,19 @@ package macs_test
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
 	"macs"
-	"macs/internal/calib"
 	"macs/internal/compiler"
 	"macs/internal/fasttier"
 	"macs/internal/lfk"
 	"macs/internal/vm"
 )
 
-// fastTierBand is the calibrated error band stated by the residual table
-// (internal/fasttier/residuals_gen.go): fast-tier predicted CPL must land
-// within ±2% of the simulator's measured CPL for every calibration
-// kernel. The golden values below additionally pin both sides exactly —
-// the schedule replay is bit-exact today, so any drift in either the
-// simulator or the replay shows up as a cycle-count diff, not just a
-// band violation.
-const fastTierBand = 0.02
-
-// fastTierGolden pins, per LFK: the simulated (and, with all residual
-// scales at 1.0, predicted) cycle count and the coarse kernel class the
-// residual lookup falls back to when a signature is unknown.
+// fastTierGolden pins, per LFK: the simulated (and predicted) cycle count
+// and the coarse kernel class the service groups divergence metrics by.
 var fastTierGolden = map[int]struct {
 	Cycles int64
 	Class  string
@@ -52,9 +39,9 @@ var fastTierGolden = map[int]struct {
 }
 
 // TestFastTierGoldenLFK is the fast tier's accuracy gate: for all ten
-// LFKs the analytical prediction must match the golden cycle count, land
-// inside the stated error band of a live primed simulation, and
-// reproduce the simulator's stall attribution bucket for bucket.
+// LFKs the analytical prediction must match the golden cycle count and
+// equal a live primed simulation exactly — cycles, CPL, every counter the
+// two tiers share and the full per-lane stall attribution.
 func TestFastTierGoldenLFK(t *testing.T) {
 	cfg := vm.DefaultConfig()
 	an := macs.NewAnalyzer(macs.DefaultVMConfig())
@@ -71,7 +58,6 @@ func TestFastTierGoldenLFK(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lfk%d sim: %v", k.ID, err)
 		}
-		measuredCPL := float64(st.Cycles) / float64(k.Elements)
 		fast, err := an.PredictSource(k.Source, int64(k.Elements), k.DataInts())
 		if err != nil {
 			t.Fatalf("lfk%d predict: %v", k.ID, err)
@@ -84,22 +70,20 @@ func TestFastTierGoldenLFK(t *testing.T) {
 		if p.Cycles != want.Cycles {
 			t.Errorf("lfk%d: fast tier predicted %d cycles, golden %d", k.ID, p.Cycles, want.Cycles)
 		}
-		rel := math.Abs(p.CPL-measuredCPL) / measuredCPL
-		if rel > fastTierBand {
-			t.Errorf("lfk%d: predicted CPL %.4f vs measured %.4f — relative error %.4f exceeds band %.2f",
-				k.ID, p.CPL, measuredCPL, rel, fastTierBand)
+		if wantCPL := float64(st.Cycles) / float64(k.Elements); p.CPL != wantCPL {
+			t.Errorf("lfk%d: predicted CPL %v, simulated %v", k.ID, p.CPL, wantCPL)
 		}
-		if !p.Calibrated {
-			t.Errorf("lfk%d: prediction not calibrated (signature %s unknown?)", k.ID, p.Signature)
-		}
-		if p.ErrorBand != fastTierBand {
-			t.Errorf("lfk%d: ErrorBand = %v, want %v", k.ID, p.ErrorBand, fastTierBand)
+		got := [...]int64{p.Instrs, p.VectorInstrs, p.ScalarInstrs, p.Chimes, p.MemStalls, p.PortConflicts}
+		sim := [...]int64{st.Instrs, st.VectorInstrs, st.ScalarInstrs, st.Chimes, st.MemStalls, st.PortConflicts}
+		if got != sim {
+			t.Errorf("lfk%d: counters (instrs, vector, scalar, chimes, mem stalls, port conflicts) fast %v, sim %v",
+				k.ID, got, sim)
 		}
 		if p.Class != want.Class {
 			t.Errorf("lfk%d: class %q, want %q", k.ID, p.Class, want.Class)
 		}
-		if got, wantAttr := p.Attr.Totals(), st.Attr.Totals(); !reflect.DeepEqual(got, wantAttr) {
-			t.Errorf("lfk%d: attribution diverges from simulator:\nfast %v\nsim  %v", k.ID, got, wantAttr)
+		if p.Attr != st.Attr {
+			t.Errorf("lfk%d: attribution diverges from simulator:\nfast %+v\nsim  %+v", k.ID, p.Attr, st.Attr)
 		}
 		if err := p.Attr.Conserved(p.Cycles); err != nil {
 			t.Errorf("lfk%d: %v", k.ID, err)
@@ -107,10 +91,10 @@ func TestFastTierGoldenLFK(t *testing.T) {
 	}
 }
 
-// TestScheduleIdentityPerProgram: a program's signature and class are
-// computed once and stamped on every later prediction, so they must
-// equal a fresh computation — for each chime rule set the program is
-// predicted under, since the class depends on the rules.
+// TestScheduleIdentityPerProgram: a program's class is computed once and
+// stamped on every later prediction, so it must equal a fresh
+// computation — for each chime rule set the program is predicted under,
+// since the class depends on the rules.
 func TestScheduleIdentityPerProgram(t *testing.T) {
 	noChain := macs.DefaultVMConfig()
 	noChain.Rules.Chaining = false
@@ -122,15 +106,12 @@ func TestScheduleIdentityPerProgram(t *testing.T) {
 		}
 		for round := 0; round < 2; round++ {
 			for _, cfg := range cfgs {
-				p, err := fasttier.NewPredictor(calib.FastTierConfig(cfg)).Predict(prog, int64(k.Elements), k.DataInts())
+				p, err := fasttier.NewPredictor(cfg).Predict(prog, int64(k.Elements), k.DataInts())
 				if errors.Is(err, fasttier.ErrDataDependent) {
 					continue
 				}
 				if err != nil {
 					t.Fatalf("lfk%d: %v", k.ID, err)
-				}
-				if want := fasttier.Signature(prog); p.Signature != want {
-					t.Errorf("lfk%d: signature %s, want %s", k.ID, p.Signature, want)
 				}
 				if want := fasttier.Class(prog, cfg.Rules); p.Class != want {
 					t.Errorf("lfk%d chaining=%v: class %s, want %s", k.ID, cfg.Rules.Chaining, p.Class, want)

@@ -278,3 +278,11 @@ func HalfPerformanceLength(op isa.Op) (cold, steady float64, err error) {
 	}
 	return float64(t.X+t.Y) / t.Z, float64(t.B) / t.Z, nil
 }
+
+// FastTierConfig returns cfg unchanged: the fast tier takes the
+// simulator's vm.Config directly.
+//
+// Deprecated: its one remaining caller is the benchmark's traced driver
+// (servebench/traced.go); it goes with that file's next change. Pass the
+// vm.Config to fasttier.NewPredictor instead.
+func FastTierConfig(cfg vm.Config) vm.Config { return cfg }

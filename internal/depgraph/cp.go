@@ -21,7 +21,7 @@ type Params struct {
 }
 
 // DefaultParams returns the C-240 ASU parameters, matching
-// vm.DefaultConfig and fasttier.DefaultConfig.
+// vm.DefaultMachine, whose timing the simulator and the fast tier share.
 func DefaultParams() Params {
 	return Params{ScalarOpLat: 1, ScalarLoadLat: 4, DispatchLat: 1, BranchPenalty: 2}
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"macs"
-	"macs/internal/calib"
 	"macs/internal/compiler"
 	"macs/internal/core"
 	"macs/internal/fasttier"
@@ -110,7 +109,7 @@ func (e *Evaluators) predictors(ms []vm.Machine, fps []string) []*fasttier.Predi
 			if len(e.m) >= predictorCap {
 				e.m = make(map[string]*fasttier.Predictor)
 			}
-			p = fasttier.NewPredictor(calib.FastTierConfig(e.run.WithMachine(m)))
+			p = fasttier.NewPredictor(e.run.WithMachine(m))
 			e.m[fps[i]] = p
 		}
 		out[i] = p
@@ -231,9 +230,8 @@ type Point struct {
 	Fingerprint string     `json:"fingerprint"`
 	// Bounds is the MACS hierarchy under this machine's VL and rules.
 	Bounds Bounds `json:"bounds"`
-	// PredictedCycles and PredictedCPL are the stage-1 fast-tier score
-	// (calibrated CPL; cycles are raw). In a data-dependent fallback
-	// sweep both are zero.
+	// PredictedCycles and PredictedCPL are the stage-1 fast-tier score.
+	// In a data-dependent fallback sweep both are zero.
 	PredictedCycles int64   `json:"predicted_cycles"`
 	PredictedCPL    float64 `json:"predicted_cpl"`
 	// Simulated marks a stage-2 survivor; Rank is its 1-based position

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"macs/internal/asm"
+	"macs/internal/vm"
 )
 
 // Interval prediction: when a program branches on data the fast tier does
@@ -36,9 +37,10 @@ const (
 // them. The point fields describe the worst-case (slowest) path. It
 // returns ErrDataDependent (wrapped) when the enumeration caps are
 // exceeded or a path fails for a non-branch reason (unknown vector
-// length, stride, or address). It walks each path with the one timer t.
-func predictInterval(prog *asm.Program, iterations int64, ints map[string]int64, t *timer) (Prediction, error) {
-	w := getWalk(t.cfg.group())
+// length, stride, or address). It walks each path, shaped by group g, with
+// the one timer t.
+func predictInterval(prog *asm.Program, iterations int64, ints map[string]int64, g groupKey, t *timer) (Prediction, error) {
+	w := getWalk(g)
 	defer putWalk(w)
 	w.timers = append(w.timers, t)
 	stack := [][]bool{nil}
@@ -92,8 +94,8 @@ func predictInterval(prog *asm.Program, iterations int64, ints map[string]int64,
 	pred.Paths = paths
 	pred.CyclesLo, pred.CyclesHi = lo, hi
 	if iterations > 0 {
-		pred.CPLLo = loP.RawCPL
-		pred.CPLHi = hiP.RawCPL
+		pred.CPLLo = loP.CPL
+		pred.CPLHi = hiP.CPL
 	}
 	return pred, nil
 }
@@ -110,7 +112,7 @@ func (p *Predictor) PredictInterval(prog *asm.Program, iterations int64, ints ma
 		return pred, nil
 	}
 	t := p.pool.Get().(*timer)
-	pred, err := predictInterval(prog, iterations, ints, t)
+	pred, err := predictInterval(prog, iterations, ints, groupOf(p.cfg), t)
 	p.pool.Put(t)
 	if err == nil {
 		mo.put(key, pred)
@@ -119,6 +121,6 @@ func (p *Predictor) PredictInterval(prog *asm.Program, iterations int64, ints ma
 }
 
 // PredictInterval is the one-shot form of Predictor.PredictInterval.
-func PredictInterval(prog *asm.Program, iterations int64, ints map[string]int64, cfg Config) (Prediction, error) {
-	return predictInterval(prog, iterations, ints, newTimer(cfg))
+func PredictInterval(prog *asm.Program, iterations int64, ints map[string]int64, cfg vm.Config) (Prediction, error) {
+	return predictInterval(prog, iterations, ints, groupOf(cfg), newTimer(cfg.Machine))
 }

@@ -10,6 +10,7 @@ import (
 	"macs/internal/compiler"
 	"macs/internal/fasttier"
 	"macs/internal/lfk"
+	"macs/internal/vm"
 )
 
 // TestMemoDiesWithProgram: the prediction memo lives on the program, so
@@ -17,7 +18,7 @@ import (
 // program alive once its caller drops it — and while the program lives, a
 // repeated request is answered from the memo.
 func TestMemoDiesWithProgram(t *testing.T) {
-	pred := fasttier.NewPredictor(fasttier.DefaultConfig())
+	pred := fasttier.NewPredictor(vm.DefaultConfig())
 	k := lfk.LFK1()
 	collected := make(chan struct{})
 	func() {

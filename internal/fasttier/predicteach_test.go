@@ -8,6 +8,7 @@ import (
 	"macs/internal/compiler"
 	"macs/internal/fasttier"
 	"macs/internal/lfk"
+	"macs/internal/vm"
 )
 
 // TestPredictEachConcurrent: lockstep and one-machine predictions may run
@@ -16,15 +17,15 @@ import (
 // misses and timers drawn from the shared pools really replay; each
 // answer must still carry its machine's cycle count.
 func TestPredictEachConcurrent(t *testing.T) {
-	var cfgs []fasttier.Config
+	var cfgs []vm.Config
 	for _, banks := range []int{16, 32, 64} {
 		for _, slow := range []float64{1, 1.5} {
-			cfg := fasttier.DefaultConfig()
+			cfg := vm.DefaultConfig()
 			cfg.Banks, cfg.MemSlowdown = banks, slow
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	noChain := fasttier.DefaultConfig()
+	noChain := vm.DefaultConfig()
 	noChain.Rules.Chaining = false
 	cfgs = append(cfgs, noChain)
 

@@ -10,6 +10,7 @@ import (
 	"macs/internal/core"
 	"macs/internal/isa"
 	"macs/internal/mem"
+	"macs/internal/vm"
 )
 
 // A schedule replay comes in two halves. The walk is everything the
@@ -31,7 +32,7 @@ import (
 // deliberately no floating-point value state and no per-element work
 // anywhere in this file.
 
-// groupKey is the part of a Config the walk depends on. Timers whose
+// groupKey is the part of a vm.Config the walk depends on. Timers whose
 // configurations share it can ride one walk.
 type groupKey struct {
 	vlMax     int
@@ -39,7 +40,7 @@ type groupKey struct {
 	maxInstrs int64
 }
 
-func (cfg Config) group() groupKey {
+func groupOf(cfg vm.Config) groupKey {
 	return groupKey{vlMax: cfg.VLMax, rules: cfg.Rules, maxInstrs: cfg.MaxInstrs}
 }
 
@@ -140,7 +141,7 @@ type walk struct {
 // timer is one machine's half of a replay: the simulator's timing state,
 // field for field, plus the machine's memory model.
 type timer struct {
-	cfg            Config
+	cfg            vm.Machine
 	clock          int64
 	pipeFree       [4]int64
 	pipeUsed       [4]bool
@@ -154,7 +155,7 @@ type timer struct {
 	prevGate       int64
 	prevGateSplit  bool
 	maxEvent       int64
-	laneTime       [NumLanes]int64
+	laneTime       [vm.NumLanes]int64
 
 	bankCfg  mem.Config
 	stallTab *mem.StallTable
@@ -198,34 +199,12 @@ func putWalk(w *walk) {
 	walks.Put(w)
 }
 
-func newTimer(cfg Config) *timer {
-	t := &timer{cfg: cfg, bankCfg: cfg.bankConfig()}
-	if cfg.BankConflicts || cfg.RefreshStalls {
+func newTimer(m vm.Machine) *timer {
+	t := &timer{cfg: m, bankCfg: m.BankConfig()}
+	if m.BankConflicts || m.RefreshStalls {
 		t.stallTab = mem.NewStallTable(t.bankCfg)
 	}
 	return t
-}
-
-// bankConfig renders the fast tier's memory geometry as the bank model's
-// configuration, with zero fields falling back to the C-240 defaults —
-// the same convention as vm.Machine.BankConfig, so both tiers describe
-// the same memory system for the same machine.
-func (cfg Config) bankConfig() mem.Config {
-	c := mem.DefaultConfig()
-	if cfg.Banks > 0 {
-		c.Banks = cfg.Banks
-	}
-	if cfg.BankCycle > 0 {
-		c.BankCycle = cfg.BankCycle
-	}
-	if cfg.RefreshPeriod > 0 {
-		c.RefreshPeriod = cfg.RefreshPeriod
-	}
-	if cfg.RefreshLen > 0 {
-		c.RefreshLen = cfg.RefreshLen
-	}
-	c.RefreshEnabled = cfg.RefreshStalls
-	return c
 }
 
 // replay walks prog once, timing it on every timer (all of group g), and
@@ -295,7 +274,7 @@ func (t *timer) reset() {
 	t.prevGate = 0
 	t.prevGateSplit = false
 	t.maxEvent = 0
-	t.laneTime = [NumLanes]int64{}
+	t.laneTime = [vm.NumLanes]int64{}
 	t.pred = Prediction{}
 }
 
@@ -409,14 +388,14 @@ func (t *timer) finish() {
 	t.pred.Cycles = maxI64(t.clock, t.maxEvent, t.prevGate)
 	// Conservation: top every lane's ledger up to the final cycle count,
 	// mirroring the simulator's drain accounting.
-	for lane := 0; lane < NumLanes; lane++ {
-		t.chargeStall(lane, t.pred.Cycles, CauseDrain)
+	for lane := 0; lane < vm.NumLanes; lane++ {
+		t.chargeStall(lane, t.pred.Cycles, vm.StallDrain)
 	}
 }
 
 // Attribution frontiers, verbatim from the simulator's ledger mechanics.
 
-func (t *timer) chargeStall(lane int, at int64, cause Cause) {
+func (t *timer) chargeStall(lane int, at int64, cause vm.StallCause) {
 	if at > t.laneTime[lane] {
 		t.pred.Attr.Lanes[lane].Stalls[cause] += at - t.laneTime[lane]
 		t.laneTime[lane] = at
@@ -432,7 +411,7 @@ func (t *timer) chargeIssue(lane int, at int64) {
 
 func (t *timer) tickASU(n int64) {
 	t.clock += n
-	t.chargeIssue(LaneASU, t.clock)
+	t.chargeIssue(vm.LaneASU, t.clock)
 }
 
 // tickOp charges every timer one scalar operation.
@@ -455,7 +434,7 @@ func (w *walk) waitScalar(reg isa.Reg) {
 func (t *timer) waitScalar(n int) {
 	if t.sReady[n] > t.clock {
 		t.clock = t.sReady[n]
-		t.chargeStall(LaneASU, t.clock, CauseChain)
+		t.chargeStall(vm.LaneASU, t.clock, vm.StallChain)
 	}
 }
 
@@ -500,11 +479,11 @@ func (t *timer) closeChime(span int64, ok, split bool) {
 	t.lastChimeStart = t.chimeStart
 	if t.clock < t.lastChimeStart {
 		t.clock = t.lastChimeStart
-		cause := CauseChimeSync
+		cause := vm.StallChimeSync
 		if split {
-			cause = CauseChimeSplit
+			cause = vm.StallChimeSplit
 		}
-		t.chargeStall(LaneASU, t.clock, cause)
+		t.chargeStall(vm.LaneASU, t.clock, cause)
 	}
 	t.chimeMemStall = 0
 }
@@ -693,13 +672,13 @@ func (w *walk) scalarMem(sdst int) {
 		if t.vectorPortFree > start {
 			start = t.vectorPortFree
 			t.pred.PortConflicts++
-			t.chargeStall(LaneASU, start, CausePortArb)
+			t.chargeStall(vm.LaneASU, start, vm.StallPortArb)
 		}
 		if split {
 			t.closeChime(span, true, true)
 		}
 		t.clock = start + t.scalarMemLat()
-		t.chargeIssue(LaneASU, t.clock)
+		t.chargeIssue(vm.LaneASU, t.clock)
 		t.scalarPortFree = t.clock
 		if sdst >= 0 {
 			t.sReady[sdst] = t.clock
@@ -1014,7 +993,7 @@ func (t *timer) dispatch(op *vecOp) int64 {
 		t.waitScalar(n)
 	}
 	t.clock += int64(t.cfg.DispatchLat)
-	t.chargeIssue(LaneASU, t.clock)
+	t.chargeIssue(vm.LaneASU, t.clock)
 	return t.clock
 }
 
@@ -1023,7 +1002,7 @@ func (t *timer) dispatch(op *vecOp) int64 {
 func (t *timer) vectorIdle(op *vecOp) {
 	t.dispatch(op)
 	t.clock += int64(op.timing.X)
-	t.chargeStall(LaneASU, t.clock, CauseStartup)
+	t.chargeStall(vm.LaneASU, t.clock, vm.StallStartup)
 }
 
 // vector replays one vector instruction's stream timing under the chime
@@ -1038,29 +1017,29 @@ func (t *timer) vector(op *vecOp) {
 	// Stream entry time S with chronological attribution checkpoints.
 	type waitPoint struct {
 		t     int64
-		cause Cause
+		cause vm.StallCause
 	}
 	var wbuf [6]waitPoint
 	waits := wbuf[:0]
 
 	s := dispatchDone + int64(tm.X)
 	waits = append(waits,
-		waitPoint{dispatchDone, CauseScalar},
-		waitPoint{s, CauseStartup})
+		waitPoint{dispatchDone, vm.StallScalar},
+		waitPoint{s, vm.StallStartup})
 	pipe := op.pipe
 	lane := int(pipe)
 	pf := t.pipeFree[pipe]
 	if t.cfg.Rules.Bubbles && t.pipeUsed[pipe] {
 		pf += int64(tm.B)
-		waits = append(waits, waitPoint{pf, CauseBubble})
+		waits = append(waits, waitPoint{pf, vm.StallBubble})
 	}
 	if pf > s {
 		s = pf
 	}
 	t.pipeUsed[pipe] = true
-	gateCause := CauseChimeSync
+	gateCause := vm.StallChimeSync
 	if t.prevGateSplit {
-		gateCause = CauseChimeSplit
+		gateCause = vm.StallChimeSplit
 	}
 	if op.newChime {
 		waits = append(waits, waitPoint{t.prevGate, gateCause})
@@ -1068,7 +1047,7 @@ func (t *timer) vector(op *vecOp) {
 			s = t.prevGate
 		}
 	} else {
-		waits = append(waits, waitPoint{t.chimeStart, CauseChimeSync})
+		waits = append(waits, waitPoint{t.chimeStart, vm.StallChimeSync})
 		if t.chimeStart > s {
 			s = t.chimeStart
 		}
@@ -1091,7 +1070,7 @@ func (t *timer) vector(op *vecOp) {
 		}
 	}
 	if chainT > 0 {
-		waits = append(waits, waitPoint{chainT, CauseChain})
+		waits = append(waits, waitPoint{chainT, vm.StallChain})
 	}
 
 	var stBank, stRefresh, stContention int64
@@ -1099,7 +1078,7 @@ func (t *timer) vector(op *vecOp) {
 		if t.scalarPortFree > s {
 			t.pred.PortConflicts++
 		}
-		waits = append(waits, waitPoint{t.scalarPortFree, CausePortArb})
+		waits = append(waits, waitPoint{t.scalarPortFree, vm.StallPortArb})
 		if t.scalarPortFree > s {
 			s = t.scalarPortFree
 		}
@@ -1128,9 +1107,9 @@ func (t *timer) vector(op *vecOp) {
 
 	streamEnd := s + op.streamIn
 	t.chargeIssue(lane, streamEnd)
-	t.chargeStall(lane, streamEnd+stBank, CauseBankConflict)
-	t.chargeStall(lane, streamEnd+stBank+stRefresh, CauseRefresh)
-	t.chargeStall(lane, streamEnd+stall, CauseContention)
+	t.chargeStall(lane, streamEnd+stBank, vm.StallBankConflict)
+	t.chargeStall(lane, streamEnd+stBank+stRefresh, vm.StallRefresh)
+	t.chargeStall(lane, streamEnd+stall, vm.StallContention)
 	t.pipeFree[pipe] = s + op.streamIn + stall
 	fin := s + int64(tm.Y) + op.streamIn + stall
 	if fin > t.maxEvent {

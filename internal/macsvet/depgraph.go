@@ -64,6 +64,45 @@ func checkDepGraph(m *Module) []Finding {
 	return fs
 }
 
+// typedConsts returns the named members of type typeName declared in
+// const blocks of p, in declaration order, sentinels excluded.
+func typedConsts(p *Pkg, typeName string) ([]string, []token.Pos) {
+	var names []string
+	var poss []token.Pos
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			cur := ""
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				switch {
+				case vs.Type != nil:
+					cur = ""
+					if id, ok := vs.Type.(*ast.Ident); ok {
+						cur = id.Name
+					}
+				case len(vs.Values) > 0:
+					cur = ""
+				}
+				if cur != typeName {
+					continue
+				}
+				for _, n := range vs.Names {
+					if n.Name == "_" || sentinel(n.Name) {
+						continue
+					}
+					names = append(names, n.Name)
+					poss = append(poss, n.Pos())
+				}
+			}
+		}
+	}
+	return names, poss
+}
+
 // enumMarked reports whether typeName's declaration in p carries the
 // macsvet:exhaustive marker.
 func enumMarked(p *Pkg, typeName string) bool {

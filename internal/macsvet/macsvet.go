@@ -15,11 +15,6 @@
 //   - isatiming: every isa.Op constant appears in the opNames table and
 //     in exactly one of the Table 1 timings map or the scalarOnly set,
 //     so an opcode cannot be added without deciding its vector timing.
-//   - tiermap: the fast tier's stall taxonomy (fasttier.Cause, causeNames)
-//     is a name-and-order bijection with the simulator's (vm.StallCause,
-//     stallNames) — the import graph keeps the packages apart, so the
-//     correspondence is enforced here — and macs.tierNames names every
-//     declared Tier.
 //   - depgraph: internal/depgraph's EdgeKind enum keeps its
 //     macsvet:exhaustive marker and the critical-path solver's
 //     edgeWeight function contains a switch naming every member, so an
@@ -199,7 +194,6 @@ func Run(root string) ([]Finding, error) {
 	var fs []Finding
 	fs = append(fs, checkExhaustive(m)...)
 	fs = append(fs, checkISATiming(m)...)
-	fs = append(fs, checkTierMap(m)...)
 	fs = append(fs, checkDepGraph(m)...)
 	fs = append(fs, checkFingerprint(m)...)
 	fs = append(fs, checkPanics(m)...)

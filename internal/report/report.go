@@ -8,7 +8,6 @@ import (
 
 	"macs/internal/calib"
 	"macs/internal/experiments"
-	"macs/internal/fasttier"
 	"macs/internal/isa"
 	"macs/internal/vm"
 )
@@ -223,19 +222,20 @@ func Timeline(events []vm.TraceEvent, width int) string {
 	return b.String()
 }
 
-// AttributionTable renders a run's stall-attribution ledger as a table:
-// one row per cycle class (issue plus each nonzero stall cause), one
-// column per lane (ASU and the three VP pipes), a lane-summed total and
-// its share of all accounted lane-cycles. With a conserved ledger every
-// column sums to Stats.Cycles.
-func AttributionTable(st vm.Stats) string {
+// AttributionTable renders a stall-attribution ledger over a run of
+// cycles as a table headed by title: one row per cycle class (issue plus
+// each nonzero stall cause), one column per lane (ASU and the three VP
+// pipes), a lane-summed total and its share of all accounted lane-cycles.
+// With a conserved ledger every column sums to cycles. It renders the
+// simulator's measured ledger and the fast tier's predicted one alike.
+func AttributionTable(title string, attr vm.Attribution, cycles int64) string {
 	lanes := []int{vm.LaneASU, int(isa.PipeLoadStore), int(isa.PipeAdd), int(isa.PipeMul)}
-	grand := float64(int64(vm.NumLanes) * st.Cycles)
+	grand := float64(int64(vm.NumLanes) * cycles)
 	row := func(name string, get func(l vm.LaneAttribution) int64) []string {
 		cells := []string{name}
 		var sum int64
 		for _, lane := range lanes {
-			v := get(st.Attr.Lanes[lane])
+			v := get(attr.Lanes[lane])
 			sum += v
 			cells = append(cells, fmt.Sprintf("%d", v))
 		}
@@ -250,7 +250,7 @@ func AttributionTable(st vm.Stats) string {
 	rows := [][]string{row("issue", func(l vm.LaneAttribution) int64 { return l.Issue })}
 	for _, c := range vm.StallCauses() {
 		c := c
-		if st.Attr.Cause(c) == 0 {
+		if attr.Cause(c) == 0 {
 			continue
 		}
 		rows = append(rows, row(c.String(), func(l vm.LaneAttribution) int64 { return l.Stalls[c] }))
@@ -261,47 +261,7 @@ func AttributionTable(st vm.Stats) string {
 		headers = append(headers, vm.LaneName(lane))
 	}
 	headers = append(headers, "all lanes", "share")
-	return Render(fmt.Sprintf("Stall attribution (%d cycles; per-lane issue + stalls = total)", st.Cycles),
-		headers, rows)
-}
-
-// PredictionTable renders the fast tier's predicted per-lane stall
-// attribution in the same layout as AttributionTable, so the two are
-// directly comparable side by side.
-func PredictionTable(p fasttier.Prediction) string {
-	lanes := []int{fasttier.LaneASU, int(isa.PipeLoadStore), int(isa.PipeAdd), int(isa.PipeMul)}
-	grand := float64(int64(fasttier.NumLanes) * p.Cycles)
-	row := func(name string, get func(l fasttier.LaneLedger) int64) []string {
-		cells := []string{name}
-		var sum int64
-		for _, lane := range lanes {
-			v := get(p.Attr.Lanes[lane])
-			sum += v
-			cells = append(cells, fmt.Sprintf("%d", v))
-		}
-		cells = append(cells, fmt.Sprintf("%d", sum))
-		if grand > 0 {
-			cells = append(cells, pct(float64(sum)/grand))
-		} else {
-			cells = append(cells, pct(0))
-		}
-		return cells
-	}
-	rows := [][]string{row("issue", func(l fasttier.LaneLedger) int64 { return l.Issue })}
-	for _, c := range fasttier.Causes() {
-		c := c
-		if p.Attr.Cause(c) == 0 {
-			continue
-		}
-		rows = append(rows, row(c.String(), func(l fasttier.LaneLedger) int64 { return l.Stalls[c] }))
-	}
-	rows = append(rows, row("total", func(l fasttier.LaneLedger) int64 { return l.Total() }))
-	headers := []string{"cycles"}
-	for _, lane := range lanes {
-		headers = append(headers, fasttier.LaneName(lane))
-	}
-	headers = append(headers, "all lanes", "share")
-	return Render(fmt.Sprintf("Predicted stall attribution (%d cycles; fast tier, no simulation)", p.Cycles),
+	return Render(fmt.Sprintf("%s (%d cycles; per-lane issue + stalls = total)", title, cycles),
 		headers, rows)
 }
 

@@ -163,8 +163,8 @@ func TestAttributionTableRendering(t *testing.T) {
 		st.Attr.Lanes[lane].Stalls[vm.StallStartup] = 10
 		st.Attr.Lanes[lane].Stalls[vm.StallDrain] = 30
 	}
-	out := AttributionTable(st)
-	for _, want := range []string{"issue", "startup", "drain", "asu", "load/store", "total", "100"} {
+	out := AttributionTable("Stall attribution", st.Attr, st.Cycles)
+	for _, want := range []string{"Stall attribution (100 cycles;", "issue", "startup", "drain", "asu", "load/store", "total", "100"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("attribution table missing %q:\n%s", want, out)
 		}

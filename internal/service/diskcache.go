@@ -24,7 +24,7 @@ const (
 	// diskCacheVersion is baked into every segment header through the
 	// config fingerprint. Bump it whenever a persisted response schema
 	// changes shape; old segments then self-invalidate on open.
-	diskCacheVersion = 1
+	diskCacheVersion = 2
 
 	// diskSegmentMaxBytes rotates the active segment once it grows past
 	// this size, keeping any single file cheap to scan on open.

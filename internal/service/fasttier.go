@@ -20,7 +20,9 @@ import (
 
 // fastTierTracker aggregates fast-tier serving counters and the
 // predicted-vs-simulated divergence sampled whenever one request ran
-// both tiers, grouped by the prediction's calibration class.
+// both tiers, grouped by the prediction's kernel class. A single-path
+// prediction replays the simulator's timing equations, so its divergence
+// is zero; any nonzero sample is a bug in one tier or the other.
 type fastTierTracker struct {
 	mu        sync.Mutex
 	served    int64
@@ -129,7 +131,6 @@ func (s *Service) analyzeFast(ctx context.Context, req AnalyzeRequest, tier macs
 		return &AnalyzeResponse{
 			Bounds:         boundsView(res.Analysis),
 			PredictedCPL:   p.CPL,
-			ErrorBand:      p.ErrorBand,
 			Class:          p.Class,
 			Interval:       p.Interval,
 			Paths:          p.Paths,
@@ -215,7 +216,7 @@ func (s *Service) verifyAsync(rctx context.Context, req AnalyzeRequest, fast Ana
 		rel := math.Abs(float64(fast.Cycles-exact.Cycles)) / float64(exact.Cycles)
 		s.fastTier.recordDivergence(fast.Class, rel)
 		if fast.Interval {
-			// Interval answers promise containment, not a point band: the
+			// Interval answers promise containment, not a point value: the
 			// simulated measurement must land inside [CyclesLo, CyclesHi].
 			if exact.Cycles < fast.CyclesLo || exact.Cycles > fast.CyclesHi {
 				s.log.Warn("fast-tier interval does not contain the simulated measurement",
@@ -227,13 +228,12 @@ func (s *Service) verifyAsync(rctx context.Context, req AnalyzeRequest, fast Ana
 			}
 			return
 		}
-		if fast.ErrorBand > 0 && rel > fast.ErrorBand {
-			s.log.Warn("fast-tier prediction outside its error band",
+		if rel != 0 {
+			s.log.Warn("fast-tier prediction diverges from the simulator",
 				"class", fast.Class,
 				"predicted_cycles", fast.Cycles,
 				"simulated_cycles", exact.Cycles,
 				"rel_err", rel,
-				"band", fast.ErrorBand,
 			)
 		}
 	}()

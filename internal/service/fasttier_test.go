@@ -53,7 +53,7 @@ func TestAnalyzeFastTier(t *testing.T) {
 	if r1.Tier != "fast" {
 		t.Fatalf("tier = %q, want fast", r1.Tier)
 	}
-	if r1.PredictedCPL <= 0 || r1.ErrorBand <= 0 || r1.Cycles <= 0 {
+	if r1.PredictedCPL <= 0 || r1.Cycles <= 0 {
 		t.Fatalf("implausible fast result: %+v", r1)
 	}
 	if r1.MeasuredCPL != 0 {
@@ -117,9 +117,9 @@ func TestAnalyzeAutoTier(t *testing.T) {
 		t.Fatalf("class %s divergence count = %d, want 1", r.Class, d.Count)
 	}
 	// The replay ports the simulator's timing equations exactly, so the
-	// divergence must sit inside the stated band (and, today, at zero).
-	if d.MaxRelErr > r.ErrorBand {
-		t.Fatalf("divergence %.4f exceeds the stated band %.4f", d.MaxRelErr, r.ErrorBand)
+	// divergence must be zero.
+	if d.MaxRelErr != 0 {
+		t.Fatalf("divergence %g, want exactly 0", d.MaxRelErr)
 	}
 
 	// Replaying the same auto request N times serves from the cache and

@@ -345,7 +345,7 @@ func TestHTTPAnalyzeTierQueryParam(t *testing.T) {
 	if r.Tier != "fast" {
 		t.Fatalf("tier = %q, want fast (query param overrides body)", r.Tier)
 	}
-	if r.PredictedCPL <= 0 || r.ErrorBand <= 0 {
+	if r.PredictedCPL <= 0 || r.Cycles <= 0 {
 		t.Fatalf("fast response missing prediction: %+v", r)
 	}
 
@@ -369,6 +369,11 @@ func TestHTTPAnalyzeTierQueryParam(t *testing.T) {
 	m := decode[Snapshot](t, mresp)
 	if m.FastTier.Served != 2 || m.FastTier.Verified != 1 {
 		t.Fatalf("fast_tier = %+v, want served = 2 and verified = 1", m.FastTier)
+	}
+	for class, d := range m.FastTier.Classes {
+		if d.MaxRelErr != 0 {
+			t.Fatalf("class %s max_rel_err = %g, want exactly 0", class, d.MaxRelErr)
+		}
 	}
 
 	resp = postJSON(t, srv.URL+"/v1/analyze?tier=warp", req)

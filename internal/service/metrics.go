@@ -196,7 +196,7 @@ type FastTierStats struct {
 	// Verified counts completed predicted-vs-simulated comparisons (the
 	// sum of the per-class sample counts).
 	Verified int64 `json:"verified"`
-	// Classes is the divergence aggregate per calibration class.
+	// Classes is the divergence aggregate per kernel class.
 	Classes map[string]DivergenceStats `json:"classes,omitempty"`
 }
 

@@ -10,7 +10,7 @@ import (
 // zero-dependency policy. The inventory mirrors the JSON snapshot:
 // per-endpoint counters and latency histograms, per-stage histograms,
 // batch-item outcomes, both cache levels, queue and simulator-pool
-// gauges, fast-tier divergence per calibration class, stall-cause
+// gauges, fast-tier divergence per kernel class, stall-cause
 // attribution, and the Go-runtime sample when the sampler is on.
 
 // RenderProm renders one metrics snapshot as a Prometheus exposition
@@ -146,11 +146,11 @@ func RenderProm(snap Snapshot) []byte {
 			maxes = append(maxes, obs.Sample{Labels: lbl, Value: d.MaxRelErr})
 		}
 		w.Counter("macsd_fast_tier_divergence_samples_total",
-			"Divergence samples by calibration class.", counts...)
+			"Divergence samples by kernel class.", counts...)
 		w.Gauge("macsd_fast_tier_mean_rel_err",
-			"Mean |predicted-simulated|/simulated by calibration class.", means...)
+			"Mean |predicted-simulated|/simulated by kernel class.", means...)
 		w.Gauge("macsd_fast_tier_max_rel_err",
-			"Max |predicted-simulated|/simulated by calibration class.", maxes...)
+			"Max |predicted-simulated|/simulated by kernel class.", maxes...)
 	}
 
 	w.Counter("macsd_explore_sweeps_total", "Completed fresh design-space sweeps.",

@@ -736,16 +736,14 @@ type AnalyzeResponse struct {
 	Tier        string     `json:"tier"`
 	Bounds      BoundsView `json:"bounds"`
 	MeasuredCPL float64    `json:"measured_cpl"`
-	// PredictedCPL and ErrorBand carry the fast tier's calibrated
-	// prediction and its stated relative error band; Class is the
-	// calibration class the residual resolved through. Exact-tier
-	// responses leave all three zero.
+	// PredictedCPL is the fast tier's prediction, the CPL the simulator
+	// measures for a single-path program; Class is the kernel class the
+	// divergence metrics group by. Exact-tier responses leave both zero.
 	PredictedCPL float64 `json:"predicted_cpl,omitempty"`
-	ErrorBand    float64 `json:"error_band,omitempty"`
 	Class        string  `json:"class,omitempty"`
 	// Interval marks a fast-tier answer obtained by enumerating the
-	// program's data-dependent branch outcomes: PredictedCPLLo/Hi (raw,
-	// uncalibrated) and CyclesLo/Hi bound every admitted execution, and
+	// program's data-dependent branch outcomes: PredictedCPLLo/Hi and
+	// CyclesLo/Hi bound every admitted execution, and
 	// the simulated measurement is guaranteed to land inside. Paths counts
 	// the enumerated executions. Point fields describe the worst case.
 	Interval       bool    `json:"interval,omitempty"`

@@ -43,7 +43,6 @@ import (
 	"macs/internal/advisor"
 	"macs/internal/asm"
 	"macs/internal/ax"
-	"macs/internal/calib"
 	"macs/internal/compiler"
 	"macs/internal/core"
 	"macs/internal/depgraph"
@@ -103,11 +102,9 @@ type (
 	// Severity grades a checker Diagnostic.
 	Severity = verify.Severity
 	// Prediction is the analytical fast tier's answer for one program:
-	// predicted cycles, calibrated CPL with its error band, and predicted
-	// per-lane stall attribution.
+	// the cycles, CPL and per-lane stall attribution the simulator would
+	// measure, computed without simulating.
 	Prediction = fasttier.Prediction
-	// FastTierConfig configures the analytical fast tier.
-	FastTierConfig = fasttier.Config
 )
 
 // ErrDataDependent marks a program the fast tier cannot predict (its
@@ -135,13 +132,16 @@ const (
 	NumTiers
 )
 
-var tierNames = [NumTiers]string{"exact", "fast", "auto"}
-
 func (t Tier) String() string {
-	if t < 0 || t >= NumTiers {
-		return fmt.Sprintf("tier(%d)", int(t))
+	switch t {
+	case TierExact:
+		return "exact"
+	case TierFast:
+		return "fast"
+	case TierAuto:
+		return "auto"
 	}
-	return tierNames[t]
+	return fmt.Sprintf("tier(%d)", int(t))
 }
 
 // ParseTier parses a tier name ("exact", "fast", "auto"); the empty
@@ -428,7 +428,7 @@ func NewAnalyzer(cfg VMConfig) *Analyzer {
 	return &Analyzer{
 		cfg:  cfg,
 		pool: vm.NewPool(cfg),
-		pred: fasttier.NewPredictor(calib.FastTierConfig(cfg)),
+		pred: fasttier.NewPredictor(cfg),
 	}
 }
 
@@ -458,8 +458,8 @@ func (a *Analyzer) AnalyzeSourceCtx(ctx context.Context, src string, iterations 
 func (a *Analyzer) PoolStats() (created, returned int64) { return a.pool.Stats() }
 
 // FastResult is the outcome of the analytical fast tier: the same bounds
-// hierarchy as Result, with a calibrated prediction in place of a
-// simulator measurement.
+// hierarchy as Result, with a prediction in place of a simulator
+// measurement.
 type FastResult struct {
 	Analysis   Analysis
 	Program    *Program
@@ -480,9 +480,8 @@ func (r FastResult) Report() string {
 		fmt.Fprintf(&b, "t_CP   = %.3f CPL (dependence critical path)\n", a.TCP)
 	}
 	if r.Prediction.CPL > 0 {
-		fmt.Fprintf(&b, "predicted t_p = %.3f CPL ±%.1f%% (%d cycles, %d iterations, %s)\n",
-			r.Prediction.CPL, 100*r.Prediction.ErrorBand, r.Prediction.Cycles,
-			r.Iterations, calibLabel(r.Prediction))
+		fmt.Fprintf(&b, "predicted t_p = %.3f CPL (%d cycles, %d iterations, class %s)\n",
+			r.Prediction.CPL, r.Prediction.Cycles, r.Iterations, r.Prediction.Class)
 	}
 	if r.Prediction.Interval {
 		fmt.Fprintf(&b, "interval t_p = [%.3f, %.3f] CPL over %d enumerated paths (cycles [%d, %d])\n",
@@ -490,13 +489,6 @@ func (r FastResult) Report() string {
 			r.Prediction.CyclesLo, r.Prediction.CyclesHi)
 	}
 	return b.String()
-}
-
-func calibLabel(p Prediction) string {
-	if p.Calibrated {
-		return "calibrated: " + p.Class
-	}
-	return "uncalibrated"
 }
 
 // PredictSource serves a source through the analytical fast tier:
@@ -565,7 +557,7 @@ func PredictSource(src string, iterations int64, cfg VMConfig, ints map[string]i
 	}
 	res.Analysis = an
 	res.Iterations = iterations
-	res.Prediction, err = fasttier.Predict(prog, iterations, ints, calib.FastTierConfig(cfg))
+	res.Prediction, err = fasttier.Predict(prog, iterations, ints, cfg)
 	return res, err
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"macs/internal/asm"
-	"macs/internal/calib"
 	"macs/internal/compiler"
 	"macs/internal/fasttier"
 	"macs/internal/lfk"
@@ -21,36 +20,36 @@ import (
 // contention, every scalar latency), and variants of the knobs that shape
 // the walk (vector length ceiling, chime rules, instruction budget), so
 // one call spans several lockstep groups.
-func lockstepConfigs(vl int) []fasttier.Config {
-	base := calib.FastTierConfig(vm.DefaultConfig())
+func lockstepConfigs(vl int) []vm.Config {
+	base := vm.DefaultConfig()
 	base.VLMax = vl
-	muts := []func(*fasttier.Config){
-		func(c *fasttier.Config) {},
-		func(c *fasttier.Config) { c.Banks = 16 },
-		func(c *fasttier.Config) { c.Banks = 64 },
-		func(c *fasttier.Config) { c.BankCycle = 4 },
-		func(c *fasttier.Config) { c.BankCycle = 12 },
-		func(c *fasttier.Config) { c.RefreshPeriod = 200 },
-		func(c *fasttier.Config) { c.RefreshLen = 30 },
-		func(c *fasttier.Config) { c.BankConflicts = false },
-		func(c *fasttier.Config) { c.RefreshStalls = false },
-		func(c *fasttier.Config) { c.BankConflicts, c.RefreshStalls = false, false },
-		func(c *fasttier.Config) { c.MemSlowdown = 1.37 },
-		func(c *fasttier.Config) { c.MemSlowdown = 2.5 },
-		func(c *fasttier.Config) { c.ScalarLoadLat = 9 },
-		func(c *fasttier.Config) { c.ScalarOpLat = 3 },
-		func(c *fasttier.Config) { c.BranchPenalty = 5 },
-		func(c *fasttier.Config) { c.DispatchLat = 3 },
-		func(c *fasttier.Config) {
+	muts := []func(*vm.Config){
+		func(c *vm.Config) {},
+		func(c *vm.Config) { c.Banks = 16 },
+		func(c *vm.Config) { c.Banks = 64 },
+		func(c *vm.Config) { c.BankCycle = 4 },
+		func(c *vm.Config) { c.BankCycle = 12 },
+		func(c *vm.Config) { c.RefreshPeriod = 200 },
+		func(c *vm.Config) { c.RefreshLen = 30 },
+		func(c *vm.Config) { c.BankConflicts = false },
+		func(c *vm.Config) { c.RefreshStalls = false },
+		func(c *vm.Config) { c.BankConflicts, c.RefreshStalls = false, false },
+		func(c *vm.Config) { c.MemSlowdown = 1.37 },
+		func(c *vm.Config) { c.MemSlowdown = 2.5 },
+		func(c *vm.Config) { c.ScalarLoadLat = 9 },
+		func(c *vm.Config) { c.ScalarOpLat = 3 },
+		func(c *vm.Config) { c.BranchPenalty = 5 },
+		func(c *vm.Config) { c.DispatchLat = 3 },
+		func(c *vm.Config) {
 			c.Banks, c.BankCycle, c.RefreshPeriod, c.MemSlowdown, c.ScalarLoadLat = 16, 12, 300, 1.6, 2
 		},
 		// Walk-shaping variants: each opens a group of its own.
-		func(c *fasttier.Config) { c.VLMax = 2 * vl },
-		func(c *fasttier.Config) { c.Rules.Chaining = false },
-		func(c *fasttier.Config) { c.Rules.Chaining, c.Banks = false, 16 },
-		func(c *fasttier.Config) { c.Rules.Bubbles, c.Rules.SplitRule = false, false },
+		func(c *vm.Config) { c.VLMax = 2 * vl },
+		func(c *vm.Config) { c.Rules.Chaining = false },
+		func(c *vm.Config) { c.Rules.Chaining, c.Banks = false, 16 },
+		func(c *vm.Config) { c.Rules.Bubbles, c.Rules.SplitRule = false, false },
 	}
-	out := make([]fasttier.Config, len(muts))
+	out := make([]vm.Config, len(muts))
 	for i, mut := range muts {
 		out[i] = base
 		mut(&out[i])
@@ -62,7 +61,7 @@ func lockstepConfigs(vl int) []fasttier.Config {
 // every third predictor's memo primed first — and requires every answer
 // to equal a fresh one-machine Predict, errors included. It returns the
 // lockstep errors.
-func checkPredictEach(t *testing.T, label string, prog *asm.Program, iterations int64, ints map[string]int64, cfgs []fasttier.Config) []error {
+func checkPredictEach(t *testing.T, label string, prog *asm.Program, iterations int64, ints map[string]int64, cfgs []vm.Config) []error {
 	t.Helper()
 	preds := make([]*fasttier.Predictor, len(cfgs))
 	for i, cfg := range cfgs {
